@@ -43,10 +43,10 @@
 #include "spec/StateMachine.h"
 
 #include <map>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace jinn::agent {
@@ -244,6 +244,14 @@ private:
 /// backs the cache is only locked on first touch per (machine, thread)
 /// and for the cross-thread observation queries below, which callers must
 /// only invoke once the owning thread has quiesced.
+///
+/// The per-thread shadow is a slot table, not a set: a handle word carries
+/// its slot and generation (jvm::HandleBits), so the table keeps, per
+/// slot, the one live word the shadow holds there and its owning frame.
+/// Frames are watermarks into a stack of acquired slots. Every transition
+/// is O(1) per reference (a frame pop is O(its live references)), with no
+/// hashing and no allocation once the tables have grown to the program's
+/// peak.
 class LocalRefMachine : public spec::MachineBase {
 public:
   LocalRefMachine();
@@ -264,15 +272,66 @@ public:
   }
 
 private:
+  /// One frame. Its live references are Acquired[Base, Base + Live); the
+  /// entries after them up to the next frame's Base are dead, and are
+  /// trimmed when this frame is on top again.
   struct ShadowFrame {
+    uint32_t Base = 0;
+    uint32_t Live = 0;
     uint32_t Capacity = 16;
     bool Explicit = false;
-    std::unordered_set<uint64_t> Live;
+  };
+  /// The shadow of one handle slot: the live word held there (0 = none),
+  /// its owning frame, and its index in Acquired.
+  struct SlotEntry {
+    uint64_t Word = 0;
+    uint32_t Frame = 0;
+    uint32_t Pos = 0;
+  };
+  /// SlotEntry per handle slot, in pages allocated on first touch: a
+  /// thread's slots are dense from 0, and a stray word with a huge slot
+  /// costs one page, not a table that long.
+  class SlotTable {
+  public:
+    /// The entry for \p Slot, or null if its page was never touched.
+    SlotEntry *find(uint32_t Slot) {
+      size_t Page = Slot >> PageBits;
+      return Page < Pages.size() && Pages[Page]
+                 ? &Pages[Page][Slot & PageMask]
+                 : nullptr;
+    }
+    /// The entry for \p Slot, allocating its page if needed.
+    SlotEntry &at(uint32_t Slot);
+
+  private:
+    static constexpr unsigned PageBits = 8;
+    static constexpr uint32_t PageMask = (1u << PageBits) - 1;
+    std::vector<std::unique_ptr<SlotEntry[]>> Pages;
   };
   struct ThreadShadow {
     uint32_t ThreadId = 0;
+    size_t Live = 0; ///< live references across all frames
     std::vector<ShadowFrame> Frames;
-    std::vector<size_t> EntryDepths; ///< frame depth at each native entry
+    std::vector<uint32_t> Acquired; ///< slots, grouped by owning frame
+    std::vector<uint32_t> EntryDepths; ///< frame depth at each native entry
+    SlotTable Slots;
+
+    explicit ThreadShadow(uint32_t ThreadId) : ThreadId(ThreadId) {}
+    /// The entry holding \p Word (decoded as \p Bits) live in some frame,
+    /// or null.
+    SlotEntry *liveEntry(uint64_t Word, const jvm::HandleBits &Bits) {
+      SlotEntry *Entry = Slots.find(Bits.Slot);
+      return Entry && Entry->Word == Word ? Entry : nullptr;
+    }
+    void pushFrame(uint32_t Capacity, bool Explicit);
+    /// Pops the top frame and everything acquired into it.
+    void popFrame();
+    /// Makes \p Word live in the top frame. A word the slot already holds
+    /// in a lower frame moves up; any other word it holds is dead in the
+    /// VM (the slot was reissued) and is dropped.
+    void insert(uint64_t Word, const jvm::HandleBits &Bits);
+    /// Drops \p Entry's word from its frame.
+    void erase(SlotEntry &Entry);
   };
 
   /// RegistryMu guards only the map structure (insertion of new per-thread
@@ -294,9 +353,13 @@ private:
   ThreadShadow &shadowAt(spec::TransitionContext &Ctx);
   ThreadShadow *findShadow(uint32_t ThreadId) const;
   void acquire(spec::TransitionContext &Ctx, uint64_t Word);
-  void useCheck(spec::TransitionContext &Ctx, uint64_t Word,
-                const char *What);
-  void countChanged(uint32_t ThreadId, const ThreadShadow &Shadow);
+  /// Checks one used reference: argument \p ArgNo (1-based) of a JNI call,
+  /// or a native method's return value when \p ArgNo is 0.
+  void useCheck(spec::TransitionContext &Ctx, uint64_t Word, int ArgNo);
+  void countChanged(const ThreadShadow &Shadow) {
+    if (OnCountChange)
+      OnCountChange(Shadow.ThreadId, Shadow.Live);
+  }
 };
 
 //===----------------------------------------------------------------------===

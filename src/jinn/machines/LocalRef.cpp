@@ -10,10 +10,23 @@
 /// acquired implicitly when a native method receives references or a JNI
 /// function returns one, released implicitly when the native method
 /// returns (or explicitly via DeleteLocalRef/PopLocalFrame). The shadow
-/// encoding is, per thread, a stack of frames, each with a capacity and the
-/// set of live reference words. Detected errors: overflow (more than the
+/// encoding is, per thread, a stack of frames, each with a capacity and its
+/// live reference words. Detected errors: overflow (more than the
 /// ensured capacity, default 16), dangling use, double free, cross-thread
 /// use, leaked explicit frames, and ID/reference confusion (pitfall 6).
+///
+/// Encoding: local references obey a strict frame discipline — acquired
+/// into the top frame, dead when it pops — so a thread's shadow is
+///  - a slot table indexed by the handle's slot bits, holding the one live
+///    word the shadow knows for that slot, its frame, and its position;
+///  - a stack of acquired slots, each frame's live references contiguous
+///    from the frame's watermark (a delete moves the frame's last live
+///    entry into the hole);
+///  - per-frame and per-thread live counts for the overflow check,
+///    liveCount and OnCountChange.
+/// Liveness is one table load and a full-word compare (kind, thread, slot
+/// and generation), so a stale word never matches its slot's new resident.
+/// Report text is only formatted on the reporting path.
 ///
 /// Concurrency: local references are thread-confined by the JNI spec, and
 /// so is the shadow. Each thread's ThreadShadow is reached through a
@@ -24,12 +37,12 @@
 /// and by the cross-thread observation queries (liveCount/topCapacity),
 /// which callers must only invoke once the owning thread has quiesced.
 /// Cross-thread *use* of a local reference is a reported violation (the
-/// wrong-thread check below fires before any shadow access), not a
-/// supported access pattern.
+/// wrong-thread check below never touches the owning thread's shadow), not
+/// a supported access pattern.
 ///
 /// Note on ordering: the Use transitions are listed before the Release
 /// transitions so that, at a native-method return, a returned reference is
-/// validated *before* the frame pop invalidates the shadow set.
+/// validated *before* the frame pop invalidates its shadow entries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,6 +83,68 @@ std::atomic<uint64_t> NextLocalRefInstanceId{1};
 
 LocalRefMachine::~LocalRefMachine() = default;
 
+LocalRefMachine::SlotEntry &LocalRefMachine::SlotTable::at(uint32_t Slot) {
+  size_t Page = Slot >> PageBits;
+  if (Page >= Pages.size())
+    Pages.resize(Page + 1);
+  if (!Pages[Page])
+    Pages[Page] = std::make_unique<SlotEntry[]>(PageMask + 1);
+  return Pages[Page][Slot & PageMask];
+}
+
+void LocalRefMachine::ThreadShadow::pushFrame(uint32_t Capacity,
+                                              bool Explicit) {
+  ShadowFrame Frame;
+  Frame.Base = static_cast<uint32_t>(Acquired.size());
+  Frame.Capacity = Capacity;
+  Frame.Explicit = Explicit;
+  Frames.push_back(Frame);
+}
+
+void LocalRefMachine::ThreadShadow::popFrame() {
+  const ShadowFrame &Top = Frames.back();
+  for (uint32_t Pos = Top.Base; Pos < Top.Base + Top.Live; ++Pos)
+    Slots.at(Acquired[Pos]).Word = 0;
+  Live -= Top.Live;
+  Frames.pop_back();
+  // The new top frame's dead tail (deletes made while it was covered) goes.
+  Acquired.resize(Frames.empty() ? 0
+                                 : Frames.back().Base + Frames.back().Live);
+}
+
+void LocalRefMachine::ThreadShadow::erase(SlotEntry &Entry) {
+  // Keep the frame's live references contiguous: its last live entry
+  // fills the hole.
+  ShadowFrame &Frame = Frames[Entry.Frame];
+  uint32_t Last = Frame.Base + Frame.Live - 1;
+  if (Entry.Pos != Last) {
+    uint32_t Moved = Acquired[Last];
+    Acquired[Entry.Pos] = Moved;
+    Slots.at(Moved).Pos = Entry.Pos;
+  }
+  --Frame.Live;
+  --Live;
+  if (Entry.Frame + 1 == Frames.size())
+    Acquired.pop_back();
+  Entry.Word = 0;
+}
+
+void LocalRefMachine::ThreadShadow::insert(uint64_t Word,
+                                           const jvm::HandleBits &Bits) {
+  SlotEntry &Entry = Slots.at(Bits.Slot);
+  uint32_t Top = static_cast<uint32_t>(Frames.size() - 1);
+  if (Entry.Word == Word && Entry.Frame == Top)
+    return;
+  if (Entry.Word)
+    erase(Entry);
+  Entry.Word = Word;
+  Entry.Frame = Top;
+  Entry.Pos = static_cast<uint32_t>(Acquired.size());
+  Acquired.push_back(Bits.Slot);
+  ++Frames[Top].Live;
+  ++Live;
+}
+
 LocalRefMachine::ThreadShadow &LocalRefMachine::shadowOf(uint32_t ThreadId) {
   ShadowCacheEntry &Cache = LocalShadowCache;
   if (Cache.Instance == InstanceId && Cache.Tid == ThreadId)
@@ -77,12 +152,10 @@ LocalRefMachine::ThreadShadow &LocalRefMachine::shadowOf(uint32_t ThreadId) {
   RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(RegistryMu);
   std::unique_ptr<ThreadShadow> &Slot = Shadows[ThreadId];
-  if (!Slot) {
-    Slot = std::make_unique<ThreadShadow>();
-    Slot->ThreadId = ThreadId;
-  }
+  if (!Slot)
+    Slot = std::make_unique<ThreadShadow>(ThreadId);
   if (Slot->Frames.empty())
-    Slot->Frames.emplace_back(); // base frame for detached-style use
+    Slot->pushFrame(16, false); // base frame for detached-style use
   Cache = {InstanceId, ThreadId, Slot.get()};
   return *Slot;
 }
@@ -112,25 +185,15 @@ void LocalRefMachine::onThreadStart(const spec::ThreadStartInfo &Info) {
   RegistryAcquires.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> Lock(RegistryMu);
   std::unique_ptr<ThreadShadow> &Slot = Shadows[Info.Id];
-  if (!Slot) {
-    Slot = std::make_unique<ThreadShadow>();
-    Slot->ThreadId = Info.Id;
-  }
-  if (Slot->Frames.empty()) {
-    ShadowFrame Base;
-    Base.Capacity = Info.FrameCapacity;
-    Slot->Frames.push_back(std::move(Base));
-  }
+  if (!Slot)
+    Slot = std::make_unique<ThreadShadow>(Info.Id);
+  if (Slot->Frames.empty())
+    Slot->pushFrame(Info.FrameCapacity, false);
 }
 
 size_t LocalRefMachine::liveCount(uint32_t ThreadId) const {
   const ThreadShadow *Shadow = findShadow(ThreadId);
-  if (!Shadow)
-    return 0;
-  size_t N = 0;
-  for (const ShadowFrame &Frame : Shadow->Frames)
-    N += Frame.Live.size();
-  return N;
+  return Shadow ? Shadow->Live : 0;
 }
 
 uint32_t LocalRefMachine::topCapacity(uint32_t ThreadId) const {
@@ -140,17 +203,6 @@ uint32_t LocalRefMachine::topCapacity(uint32_t ThreadId) const {
   return Shadow->Frames.back().Capacity;
 }
 
-void LocalRefMachine::countChanged(uint32_t ThreadId,
-                                   const ThreadShadow &Shadow) {
-  if (!OnCountChange)
-    return;
-  // Tally straight from the shadow we already own — no registry lock.
-  size_t N = 0;
-  for (const ShadowFrame &Frame : Shadow.Frames)
-    N += Frame.Live.size();
-  OnCountChange(ThreadId, N);
-}
-
 void LocalRefMachine::acquire(TransitionContext &Ctx, uint64_t Word) {
   if (!Word)
     return;
@@ -158,61 +210,65 @@ void LocalRefMachine::acquire(TransitionContext &Ctx, uint64_t Word) {
   if (!Bits || Bits->Kind != RefKind::Local)
     return; // only local references are tracked here
   ThreadShadow &Shadow = shadowAt(Ctx);
-  ShadowFrame &Top = Shadow.Frames.back();
-  Top.Live.insert(Word);
-  countChanged(Ctx.threadId(), Shadow);
+  Shadow.insert(Word, *Bits);
+  countChanged(Shadow);
+  const ShadowFrame &Top = Shadow.Frames.back();
   uint32_t Limit = Top.Capacity;
   if (mutate::active(mutate::M::SpecLocalRefOverflowOffByOne))
     Limit += 1;
-  if (Top.Live.size() > Limit)
+  if (Top.Live > Limit)
     Ctx.reporter().violation(
         Ctx, Spec,
-        formatString("local reference overflow: %zu live references exceed "
+        formatString("local reference overflow: %u live references exceed "
                      "the ensured capacity of %u",
-                     Top.Live.size(), Top.Capacity));
+                     Top.Live, Top.Capacity));
 }
 
 void LocalRefMachine::useCheck(TransitionContext &Ctx, uint64_t Word,
-                               const char *What) {
+                               int ArgNo) {
   if (!Word)
     return;
   std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
+  if (Bits && Bits->Kind != RefKind::Local)
+    return; // globals belong to the global-reference machine
+  ThreadShadow &Shadow = shadowAt(Ctx);
+  if (Bits && Bits->Thread == Shadow.ThreadId &&
+      Shadow.liveEntry(Word, *Bits))
+    return; // tracked and live
+  // Only a report names the operand, so a clean use never formats text.
+  auto What = [ArgNo] {
+    return ArgNo ? formatString("argument %d", ArgNo)
+                 : std::string("the native method's return value");
+  };
   if (!Bits) {
     Ctx.reporter().violation(
         Ctx, Spec,
         formatString("%s is not a JNI reference (a method or field ID, or "
                      "a stray pointer?)",
-                     What));
+                     What().c_str()));
     return;
   }
-  if (Bits->Kind != RefKind::Local)
-    return; // globals belong to the global-reference machine
-  uint32_t Tid = Ctx.threadId();
-  if (Bits->Thread != Tid) {
+  if (Bits->Thread != Shadow.ThreadId) {
     // Thread confinement: never touch the owning thread's shadow from
     // here — report and stop.
     Ctx.reporter().violation(
         Ctx, Spec,
         formatString("%s is a local reference that belongs to thread %u, "
                      "not to the current thread %u",
-                     What, Bits->Thread, Tid));
+                     What().c_str(), Bits->Thread, Shadow.ThreadId));
     return;
   }
-  ThreadShadow &Shadow = shadowAt(Ctx);
-  for (const ShadowFrame &Frame : Shadow.Frames)
-    if (Frame.Live.count(Word))
-      return; // tracked and live
   // Untracked: adopt pre-agent references; report dead ones.
   jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
   if (Peek.S == jvm::Vm::PeekResult::Status::Live) {
-    Shadow.Frames.back().Live.insert(Word);
+    Shadow.insert(Word, *Bits);
     return;
   }
   Ctx.reporter().violation(
       Ctx, Spec,
       formatString("%s is a dangling local reference (its frame was popped "
                    "or it was deleted)",
-                   What));
+                   What().c_str()));
 }
 
 LocalRefMachine::LocalRefMachine()
@@ -234,10 +290,9 @@ LocalRefMachine::LocalRefMachine()
         Direction::CallJavaToC}},
       [this](TransitionContext &Ctx) {
         ThreadShadow &Shadow = shadowOf(Ctx.threadId());
-        Shadow.EntryDepths.push_back(Shadow.Frames.size());
-        ShadowFrame Frame;
-        Frame.Capacity = Ctx.nativeFrameCapacity();
-        Shadow.Frames.push_back(std::move(Frame));
+        Shadow.EntryDepths.push_back(
+            static_cast<uint32_t>(Shadow.Frames.size()));
+        Shadow.pushFrame(Ctx.nativeFrameCapacity(), false);
         acquire(Ctx, jni::handleWord(Ctx.self()));
         const jvm::MethodDesc &Sig = Ctx.method().Sig;
         for (size_t I = 0; I < Sig.Params.size(); ++I)
@@ -266,10 +321,8 @@ LocalRefMachine::LocalRefMachine()
       [this](TransitionContext &Ctx) {
         if (static_cast<jint>(Ctx.call().returnWord()) != JNI_OK)
           return;
-        ShadowFrame Frame;
-        Frame.Capacity = static_cast<uint32_t>(Ctx.call().arg(0).Word);
-        Frame.Explicit = true;
-        shadowAt(Ctx).Frames.push_back(std::move(Frame));
+        shadowAt(Ctx).pushFrame(static_cast<uint32_t>(Ctx.call().arg(0).Word),
+                                true);
       }));
   Spec.Transitions.push_back(makeTransition(
       "Acquired", "Acquired",
@@ -295,8 +348,7 @@ LocalRefMachine::LocalRefMachine()
         const FnTraits &Traits = Ctx.call().traits();
         for (int I = 0; I < Traits.NumParams && !Ctx.aborted(); ++I)
           if (Traits.Params[I].Cls == ArgClass::Ref)
-            useCheck(Ctx, Ctx.call().refWord(I),
-                     formatString("argument %d", I + 1).c_str());
+            useCheck(Ctx, Ctx.call().refWord(I), I + 1);
       }));
 
   // Use at Return:C->Java: a native method returning a reference. Listed
@@ -308,8 +360,7 @@ LocalRefMachine::LocalRefMachine()
       [this](TransitionContext &Ctx) {
         if (!Ctx.ret() || !Ctx.method().Sig.Ret.isReference())
           return;
-        useCheck(Ctx, jni::handleWord(Ctx.ret()->l),
-                 "the native method's return value");
+        useCheck(Ctx, jni::handleWord(Ctx.ret()->l), 0);
       }));
 
   // Release at Call:C->Java of DeleteLocalRef.
@@ -322,12 +373,13 @@ LocalRefMachine::LocalRefMachine()
         if (!Word)
           return;
         ThreadShadow &Shadow = shadowAt(Ctx);
-        for (auto It = Shadow.Frames.rbegin(); It != Shadow.Frames.rend();
-             ++It)
-          if (It->Live.erase(Word)) {
-            countChanged(Ctx.threadId(), Shadow);
-            return;
-          }
+        std::optional<jvm::HandleBits> Bits = jvm::decodeHandle(Word);
+        if (SlotEntry *Entry =
+                Bits ? Shadow.liveEntry(Word, *Bits) : nullptr) {
+          Shadow.erase(*Entry);
+          countChanged(Shadow);
+          return;
+        }
         jvm::Vm::PeekResult Peek = peekRef(Ctx, Word);
         if (Peek.S == jvm::Vm::PeekResult::Status::Live)
           return; // pre-agent reference; the delete is legitimate
@@ -350,8 +402,8 @@ LocalRefMachine::LocalRefMachine()
         ThreadShadow &Shadow = shadowAt(Ctx);
         if (Shadow.Frames.empty() || !Shadow.Frames.back().Explicit)
           return;
-        Shadow.Frames.pop_back();
-        countChanged(Ctx.threadId(), Shadow);
+        Shadow.popFrame();
+        countChanged(Shadow);
       }));
 
   // Release at Return:C->Java: the VM frees the native frame; explicit
@@ -364,15 +416,15 @@ LocalRefMachine::LocalRefMachine()
         ThreadShadow &Shadow = shadowOf(Ctx.threadId());
         if (Shadow.EntryDepths.empty())
           return;
-        size_t Depth = Shadow.EntryDepths.back();
+        uint32_t Depth = Shadow.EntryDepths.back();
         Shadow.EntryDepths.pop_back();
         size_t ExplicitLeaks = 0;
         while (Shadow.Frames.size() > Depth) {
           if (Shadow.Frames.back().Explicit)
             ++ExplicitLeaks;
-          Shadow.Frames.pop_back();
+          Shadow.popFrame();
         }
-        countChanged(Ctx.threadId(), Shadow);
+        countChanged(Shadow);
         if (ExplicitLeaks > 0)
           Ctx.reporter().violation(
               Ctx, Spec,

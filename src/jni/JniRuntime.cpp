@@ -39,18 +39,28 @@ std::atomic<uint64_t> NextRuntimeEpoch{1};
 
 /// Entries of destroyed runtimes cannot be purged eagerly (a runtime never
 /// sees other threads' vectors), so the registry is kept as a small LRU:
-/// hits migrate toward the front and the coldest entry is evicted once the
-/// list is full. A long-lived thread that touches many short-lived
-/// runtimes then keeps O(1) lookups instead of scanning every runtime it
-/// ever served.
+/// the entry used last sits at the front and the coldest entry is evicted
+/// once the list is full. A long-lived thread that touches many
+/// short-lived runtimes then keeps O(1) lookups instead of scanning every
+/// runtime it ever served.
 constexpr size_t MaxCurrentEntries = 16;
 
-CurrentEntry *findCurrentEntry(const JniRuntime *Rt, uint64_t Epoch) {
+/// A copy of the front entry. Every JNI crossing resolves the current
+/// thread (the wrong-thread check, and the JNIEnv-state machine under
+/// Jinn), so the common case — the same runtime as last time — is one
+/// compare against this copy. It is trivially destructible, so reading it
+/// needs no thread-local initialization guard.
+thread_local CurrentEntry FrontCurrent;
+
+/// Moves the entry for (\p Rt, \p Epoch) to the front and returns it, or
+/// returns null when this OS thread has none.
+CurrentEntry *promoteCurrentEntry(const JniRuntime *Rt, uint64_t Epoch) {
   for (size_t I = 0; I < CurrentEntries.size(); ++I) {
     if (CurrentEntries[I].Rt == Rt && CurrentEntries[I].Epoch == Epoch) {
-      if (I > 0)
-        std::swap(CurrentEntries[I - 1], CurrentEntries[I]);
-      return &CurrentEntries[I > 0 ? I - 1 : 0];
+      std::rotate(CurrentEntries.begin(), CurrentEntries.begin() + I,
+                  CurrentEntries.begin() + I + 1);
+      FrontCurrent = CurrentEntries.front();
+      return &CurrentEntries.front();
     }
   }
   return nullptr;
@@ -59,19 +69,22 @@ CurrentEntry *findCurrentEntry(const JniRuntime *Rt, uint64_t Epoch) {
 } // namespace
 
 jvm::JThread *JniRuntime::currentThread() const {
-  if (const CurrentEntry *Entry = findCurrentEntry(this, RtEpoch))
+  if (FrontCurrent.Rt == this && FrontCurrent.Epoch == RtEpoch)
+    return FrontCurrent.Thread;
+  if (const CurrentEntry *Entry = promoteCurrentEntry(this, RtEpoch))
     return Entry->Thread;
   return nullptr;
 }
 
 void JniRuntime::setCurrentThread(jvm::JThread *Thread) {
-  if (CurrentEntry *Entry = findCurrentEntry(this, RtEpoch)) {
+  if (CurrentEntry *Entry = promoteCurrentEntry(this, RtEpoch)) {
     Entry->Thread = Thread;
-    return;
+  } else {
+    if (CurrentEntries.size() >= MaxCurrentEntries)
+      CurrentEntries.pop_back();
+    CurrentEntries.insert(CurrentEntries.begin(), {this, RtEpoch, Thread});
   }
-  if (CurrentEntries.size() >= MaxCurrentEntries)
-    CurrentEntries.pop_back();
-  CurrentEntries.insert(CurrentEntries.begin(), {this, RtEpoch, Thread});
+  FrontCurrent = CurrentEntries.front();
 }
 
 //===----------------------------------------------------------------------===

@@ -30,7 +30,7 @@ void JThread::invalidateSlot(uint32_t Index) {
   // The generation advances so outstanding handles to this slot are stale.
   // State changes before Target clears: a concurrent reader that saw the
   // old live state re-checks State after loading Target and rejects.
-  Slot.State.store(LocalSlot::packState(LocalSlot::genOf(State) + 1, false),
+  Slot.State.store(LocalSlot::advance(State, false),
                    std::memory_order_release);
   Slot.Target.store(0, std::memory_order_relaxed);
   FreeSlots.push_back(Index);
@@ -57,12 +57,12 @@ uint64_t JThread::newLocalRef(ObjectId Target) {
     Index = static_cast<uint32_t>(Arena.grow(1));
   }
   LocalSlot &Slot = Arena[Index];
-  uint32_t Gen = LocalSlot::genOf(Slot.State.load(std::memory_order_relaxed));
-  Gen += 1;
+  uint64_t State =
+      LocalSlot::advance(Slot.State.load(std::memory_order_relaxed), true);
   // Target first, then State with release: a reader that observes the live
   // state is guaranteed to read this target (or detect the State change).
   Slot.Target.store(Target.raw(), std::memory_order_relaxed);
-  Slot.State.store(LocalSlot::packState(Gen, true), std::memory_order_release);
+  Slot.State.store(State, std::memory_order_release);
 
   LocalFrame &Frame = Frames.back();
   Frame.OwnedSlots.push_back(Index);
@@ -76,7 +76,7 @@ uint64_t JThread::newLocalRef(ObjectId Target) {
   Bits.Kind = RefKind::Local;
   Bits.Thread = Id;
   Bits.Slot = Index;
-  Bits.Gen = Gen;
+  Bits.Gen = LocalSlot::genOf(State);
   return encodeHandle(Bits);
 }
 
@@ -85,7 +85,7 @@ LocalRefState JThread::localRefState(const HandleBits &Bits) const {
   if (Bits.Slot >= Arena.size())
     return LocalRefState::NeverIssued;
   uint64_t State = Arena[Bits.Slot].State.load(std::memory_order_acquire);
-  if (Bits.Gen > LocalSlot::genOf(State))
+  if (!LocalSlot::wrappedOf(State) && Bits.Gen > LocalSlot::genOf(State))
     return LocalRefState::NeverIssued;
   if (!LocalSlot::liveOf(State) || LocalSlot::genOf(State) != Bits.Gen)
     return LocalRefState::Stale;

@@ -203,4 +203,37 @@ TEST_F(JThreadTest, RandomFrameOperationsProperty) {
   }
 }
 
+
+TEST_F(JThreadTest, SlotGenerationWrapsAtTheHandleWidth) {
+  // A handle carries 23 generation bits. Reissue one slot more than 2^23
+  // times: every handle it issues must stay live while its frame does,
+  // and classify as stale, never as never-issued, once it is gone.
+  Main.pushFrame(1, /*Explicit=*/true);
+  const HandleBits First = bitsOf(Main.newLocalRef(Obj));
+  Main.popFrame();
+  constexpr uint64_t Issues = (1ULL << 23) + 3;
+  for (uint64_t I = 1; I < Issues; ++I) {
+    Main.pushFrame(1, /*Explicit=*/true);
+    Main.newLocalRef(Obj);
+    Main.popFrame();
+  }
+  Main.pushFrame(1, /*Explicit=*/true);
+  const HandleBits Bits = bitsOf(Main.newLocalRef(Obj));
+  EXPECT_EQ(Bits.Slot, First.Slot);
+  EXPECT_EQ(Main.localRefState(Bits), LocalRefState::Live);
+  EXPECT_EQ(Main.resolveLocal(Bits), Obj);
+  EXPECT_EQ(Main.localRefState(First), LocalRefState::Stale);
+  HandleBits Ahead = Bits;
+  Ahead.Gen = (Bits.Gen + 1) & handle_detail::GenMask;
+  EXPECT_EQ(Main.localRefState(Ahead), LocalRefState::Stale);
+  // A slot whose generation never wrapped still tells the two apart.
+  HandleBits Fresh = bitsOf(Main.newLocalRef(Obj));
+  EXPECT_NE(Fresh.Slot, Bits.Slot);
+  Fresh.Gen += 1;
+  EXPECT_EQ(Main.localRefState(Fresh), LocalRefState::NeverIssued);
+  EXPECT_TRUE(Main.deleteLocal(Bits));
+  EXPECT_EQ(Main.localRefState(Bits), LocalRefState::Stale);
+  Main.popFrame();
+}
+
 } // namespace
