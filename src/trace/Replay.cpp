@@ -55,9 +55,9 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
 
   CollectingReporter Reporter;
   synth::Synthesizer Synth(Active, Reporter);
-  Synth.OnActionRun = [&Result](const spec::StateMachineSpec &Spec) {
-    ++Result.MachineTransitions[Spec.Name];
-  };
+  // Counted flat, per machine; the name-keyed map is built once at the end.
+  std::vector<uint64_t> ActionCounts(Active.size(), 0);
+  Synth.ActionCounts = ActionCounts.data();
   // A standalone dispatcher: the synthesized hooks run against replayed
   // calls, not against any live runtime's interposed table.
   jvmti::InterposeDispatcher Dispatcher;
@@ -111,8 +111,8 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
           jni::wordToRef(Ev.SelfWord), Ev.NativeArgs, nullptr, Reporter);
       for (const synth::Synthesizer::MachineAction &Action :
            Synth.entryActions()) {
-        ++Result.MachineTransitions[Action.first->Name];
-        Action.second(Ctx);
+        ++ActionCounts[Action.MachineIndex];
+        Action.Action(Ctx);
         if (Ctx.aborted())
           break;
       }
@@ -131,8 +131,8 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
           Ev.HasReturn ? &Ret : nullptr, Reporter);
       for (const synth::Synthesizer::MachineAction &Action :
            Synth.exitActions()) {
-        ++Result.MachineTransitions[Action.first->Name];
-        Action.second(Ctx);
+        ++ActionCounts[Action.MachineIndex];
+        Action.Action(Ctx);
       }
       break;
     }
@@ -152,6 +152,9 @@ ReplayResult jinn::trace::replayTrace(const Trace &T, jvm::Vm &Vm,
         Opts.OnReport(EvIndex, Reporter.Reports[Reported]);
   }
 
+  for (size_t I = 0; I < Active.size(); ++I)
+    if (ActionCounts[I])
+      Result.MachineTransitions[Active[I]->spec().Name] = ActionCounts[I];
   Result.Reports = std::move(Reporter.Reports);
   return Result;
 }

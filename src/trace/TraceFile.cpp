@@ -6,8 +6,12 @@
 
 #include "trace/TraceFile.h"
 
+#include "support/Format.h"
+
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <type_traits>
 
@@ -51,6 +55,29 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/// Why \p Ev cannot be a recorded event (its enum fields out of range or a
+/// count past its array), or null when every field is in range. Replay and
+/// the lifter index arrays by these counts and cast these enums unchecked.
+const char *malformedField(const TraceEvent &Ev) {
+  if (static_cast<size_t>(Ev.Kind) >= NumEventKinds)
+    return "event kind out of range";
+  bool IsJni = Ev.Kind == EventKind::JniPre || Ev.Kind == EventKind::JniPost;
+  if (IsJni && Ev.Fn >= jni::NumJniFunctions)
+    return "JNI function id out of range";
+  if (Ev.NumArgs > TraceEvent::MaxArgs)
+    return "argument count above its cap";
+  for (size_t I = 0; I < Ev.NumArgs; ++I)
+    if (Ev.Args[I].Cls > static_cast<uint8_t>(jni::ArgClass::OutPtr))
+      return "argument class out of range";
+  if (Ev.NumNativeArgs > TraceEvent::MaxNativeArgs)
+    return "native argument count above its cap";
+  if (Ev.Snap.NumPeeks > jvmti::BoundarySnapshot::MaxPeeks)
+    return "snapshot peek count above its cap";
+  if (Ev.Snap.NumCallArgs > jvmti::BoundarySnapshot::MaxCallArgs)
+    return "snapshot call-argument count above its cap";
+  return nullptr;
+}
+
 } // namespace
 
 bool jinn::trace::writeTraceFile(const Trace &T, const std::string &Path,
@@ -90,6 +117,10 @@ bool jinn::trace::readTraceFile(Trace &Out, const std::string &Path,
   FilePtr File(std::fopen(Path.c_str(), "rb"));
   if (!File)
     return fail(Err, "cannot open " + Path);
+  std::error_code SizeErr;
+  const uintmax_t FileSize = std::filesystem::file_size(Path, SizeErr);
+  if (SizeErr)
+    return fail(Err, "cannot size " + Path);
 
   FileHeader Header = {};
   if (std::fread(&Header, sizeof(Header), 1, File.get()) != 1)
@@ -101,6 +132,16 @@ bool jinn::trace::readTraceFile(Trace &Out, const std::string &Path,
   if (Header.EventSize != sizeof(TraceEvent))
     return fail(Err, "trace record layout mismatch in " + Path +
                          " (written by a different build)");
+
+  // The counts must describe this file exactly before anything is sized
+  // from them: a corrupt count is an error, not an allocation.
+  const uintmax_t Body =
+      FileSize - std::min<uintmax_t>(FileSize, sizeof(Header));
+  if (Header.ThreadCount > Body / sizeof(ThreadEntry) ||
+      Header.EventCount >
+          (Body - Header.ThreadCount * sizeof(ThreadEntry)) /
+              sizeof(TraceEvent))
+    return fail(Err, "header counts exceed the size of " + Path);
 
   Out = Trace();
   Out.Head.Version = Header.Version;
@@ -120,5 +161,11 @@ bool jinn::trace::readTraceFile(Trace &Out, const std::string &Path,
       std::fread(Out.Events.data(), sizeof(TraceEvent), Header.EventCount,
                  File.get()) != Header.EventCount)
     return fail(Err, "truncated event stream in " + Path);
+  for (size_t I = 0; I < Out.Events.size(); ++I)
+    if (const char *Why = malformedField(Out.Events[I])) {
+      Out = Trace();
+      return fail(Err, formatString("malformed event %zu in %s: %s", I,
+                                    Path.c_str(), Why));
+    }
   return true;
 }

@@ -215,6 +215,86 @@ TEST(TraceFileFormat, RejectsCorruptMagic) {
   std::remove(Path.c_str());
 }
 
+TEST(TraceFileFormat, RejectsCountsBeyondTheFile) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordOnly));
+  runMicrobenchmark(MicroId::NullArgument, World);
+  World.shutdown();
+  trace::Trace Recorded = World.Jinn->recorder()->collect();
+
+  std::string Path = tracePath("hugecount");
+  std::string Err;
+  ASSERT_TRUE(trace::writeTraceFile(Recorded, Path, &Err)) << Err;
+  {
+    // The header's event count (after magic and four 32-bit fields).
+    std::fstream File(Path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(File.is_open());
+    uint64_t Huge = 1ULL << 40;
+    File.seekp(24);
+    File.write(reinterpret_cast<const char *>(&Huge), sizeof(Huge));
+  }
+  trace::Trace Out;
+  EXPECT_FALSE(trace::readTraceFile(Out, Path, &Err)); // no bad_alloc
+  EXPECT_NE(Err.find("header counts exceed"), std::string::npos) << Err;
+  EXPECT_TRUE(Out.Events.empty());
+  std::remove(Path.c_str());
+}
+
+TEST(TraceFileFormat, RejectsOutOfRangeFields) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordOnly));
+  runMicrobenchmark(MicroId::LocalDangling, World);
+  World.shutdown();
+  const trace::Trace Recorded = World.Jinn->recorder()->collect();
+  size_t Jni = 0;
+  while (Jni < Recorded.Events.size() &&
+         Recorded.Events[Jni].Kind != trace::EventKind::JniPre)
+    ++Jni;
+  ASSERT_LT(Jni, Recorded.Events.size());
+
+  using Corruption = void (*)(trace::TraceEvent &);
+  const std::pair<const char *, Corruption> Cases[] = {
+      {"event kind out of range",
+       [](trace::TraceEvent &Ev) {
+         Ev.Kind = static_cast<trace::EventKind>(trace::NumEventKinds);
+       }},
+      {"JNI function id out of range",
+       [](trace::TraceEvent &Ev) { Ev.Fn = 0xFFF0; }},
+      {"argument count above its cap",
+       [](trace::TraceEvent &Ev) {
+         Ev.NumArgs = trace::TraceEvent::MaxArgs + 1;
+       }},
+      {"argument class out of range",
+       [](trace::TraceEvent &Ev) {
+         Ev.NumArgs = 1;
+         Ev.Args[0].Cls = 0xEE;
+       }},
+      {"native argument count above its cap",
+       [](trace::TraceEvent &Ev) {
+         Ev.NumNativeArgs = trace::TraceEvent::MaxNativeArgs + 1;
+       }},
+      {"snapshot peek count above its cap",
+       [](trace::TraceEvent &Ev) {
+         Ev.Snap.NumPeeks = jvmti::BoundarySnapshot::MaxPeeks + 1;
+       }},
+      {"snapshot call-argument count above its cap",
+       [](trace::TraceEvent &Ev) {
+         Ev.Snap.NumCallArgs = jvmti::BoundarySnapshot::MaxCallArgs + 1;
+       }},
+  };
+  std::string Path = tracePath("badfield");
+  for (const auto &[Why, Corrupt] : Cases) {
+    SCOPED_TRACE(Why);
+    trace::Trace Bad = Recorded;
+    Corrupt(Bad.Events[Jni]);
+    std::string Err;
+    ASSERT_TRUE(trace::writeTraceFile(Bad, Path, &Err)) << Err;
+    trace::Trace Out;
+    EXPECT_FALSE(trace::readTraceFile(Out, Path, &Err));
+    EXPECT_NE(Err.find(Why), std::string::npos) << Err;
+    EXPECT_TRUE(Out.Events.empty());
+  }
+  std::remove(Path.c_str());
+}
+
 TEST(TraceFileFormat, MissingFileFails) {
   trace::Trace Out;
   std::string Err;
