@@ -63,6 +63,17 @@ constexpr uint64_t ThreadMask = (1ULL << 15) - 1;
 constexpr uint64_t KindMask = 0x3;
 } // namespace handle_detail
 
+/// The slot generation after \p Gen, wrapped to the width a handle
+/// carries, so a live slot's handle always names its current generation.
+/// Sets \p Wrapped once the count comes round: from then on every
+/// generation has been issued, and a mismatch means stale, never "never
+/// issued".
+inline uint32_t nextGeneration(uint32_t Gen, bool &Wrapped) {
+  uint32_t Next = static_cast<uint32_t>((Gen + 1ULL) & handle_detail::GenMask);
+  Wrapped = Wrapped || Next == 0;
+  return Next;
+}
+
 /// One past the largest encodable thread id (sizes Vm::ThreadTable).
 constexpr uint32_t MaxThreadIds =
     static_cast<uint32_t>(handle_detail::ThreadMask) + 1;

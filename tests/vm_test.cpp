@@ -214,6 +214,24 @@ TEST_F(VmTest, DeleteGlobalRefInvalidatesAndRecycles) {
   EXPECT_GT(decodeHandle(Ref2)->Gen, decodeHandle(Ref)->Gen);
 }
 
+TEST_F(VmTest, GlobalSlotGenerationWrapsAtTheHandleWidth) {
+  // As for local slots: a global slot reissued more than 2^23 times keeps
+  // issuing live handles, and its old handles read stale.
+  ObjectId Obj = V.newString("g");
+  const HandleBits First = *decodeHandle(V.newGlobalRef(Obj, false));
+  ASSERT_TRUE(V.deleteGlobalRef(First));
+  for (uint64_t I = 1; I < (1ULL << 23) + 3; ++I)
+    ASSERT_TRUE(V.deleteGlobalRef(*decodeHandle(V.newGlobalRef(Obj, false))));
+  const HandleBits Bits = *decodeHandle(V.newGlobalRef(Obj, false));
+  EXPECT_EQ(Bits.Slot, First.Slot);
+  EXPECT_EQ(V.globalRefState(Bits), LocalRefState::Live);
+  EXPECT_EQ(V.resolveGlobal(Bits), Obj);
+  EXPECT_EQ(V.globalRefState(First), LocalRefState::Stale);
+  HandleBits Ahead = Bits;
+  Ahead.Gen = (Bits.Gen + 1) & handle_detail::GenMask;
+  EXPECT_EQ(V.globalRefState(Ahead), LocalRefState::Stale);
+}
+
 TEST_F(VmTest, MonitorsNestAndRequireOwner) {
   ObjectId Lock = V.newObject(V.objectClass());
   EXPECT_EQ(V.monitorEnter(Main, Lock), MonitorResult::Ok);
