@@ -133,9 +133,15 @@ TEST(GcStress, MovingGcInvalidatesDroppedIdsAndPreservesRootedOnes) {
   for (int T = 0; T < NumThreads; ++T)
     Threads.emplace_back([&, T] {
       for (int I = 0; I < 150; ++I) {
-        ObjectId Keep = W.Vm.newStringUtf16(u"rooted-payload");
-        W.Vm.newGlobalRef(Keep, /*Weak=*/false); // root it for the VM's life
-        Rooted[T].push_back(Keep);
+        {
+          // Allocate and root inside one mutator scope, as a JNI call
+          // does: a collection that ran between the two calls would
+          // rightly reclaim the string, which nothing roots yet.
+          jvm::Vm::MutatorScope Scope(W.Vm);
+          ObjectId Keep = W.Vm.newStringUtf16(u"rooted-payload");
+          W.Vm.newGlobalRef(Keep, /*Weak=*/false); // root it for the VM's life
+          Rooted[T].push_back(Keep);
+        }
         // Allocated and immediately dropped: reclaimable garbage.
         Dropped[T].push_back(W.Vm.newPrimArray(jvm::JType::Int, 16));
       }
