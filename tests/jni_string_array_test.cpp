@@ -222,6 +222,10 @@ struct Kind {
   jvm::JType T;
 };
 
+// Print the kind by name: gtest's default dump of the raw bytes would put a
+// pointer and padding into the test names, so they would change every run.
+void PrintTo(const Kind &K, std::ostream *OS) { *OS << K.Name; }
+
 class AllPrimArrays : public ::testing::TestWithParam<Kind> {};
 
 TEST_P(AllPrimArrays, NewFillReadBack) {
