@@ -5,13 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Measures the per-crossing cost of each dispatch tier on four
+/// Measures the per-crossing cost of each dispatch tier on five
 /// representative JNI call classes:
 ///
 ///   get_version       check-free query (pre-only machine coverage)
 ///   string_utf_length reference use (nullness, typing, local-ref use)
 ///   new_delete_local  allocation + free (local-ref lifecycle)
 ///   frame_push_pop    pushdown counters (frame nesting, capacity)
+///   static_field      Get/SetStaticIntField on a class defined after
+///                     LateClassFillers others (class-mirror lookup in the
+///                     VM and in the fixed- and entity-typing checks)
 ///
 /// across five boundary treatments: bare (no dispatcher), interpose-only
 /// (wrapped table, empty dispatcher), and Jinn under dense, sparse, and
@@ -57,6 +60,11 @@ struct OpClass {
   void (*Run)(JNIEnv *, uint64_t Iters);
 };
 
+/// Classes defined ahead of the static_field class, so its mirror is one
+/// of many in the VM's registry, as in an application.
+constexpr int LateClassFillers = 32;
+constexpr const char *LateClassName = "bench/LateStatics";
+
 void runGetVersion(JNIEnv *Env, uint64_t Iters) {
   const JNINativeInterface_ *Fns = Env->functions;
   for (uint64_t I = 0; I < Iters; ++I)
@@ -87,12 +95,36 @@ void runFramePushPop(JNIEnv *Env, uint64_t Iters) {
   }
 }
 
+void runStaticField(JNIEnv *Env, uint64_t Iters) {
+  const JNINativeInterface_ *Fns = Env->functions;
+  jclass Cls = Fns->FindClass(Env, LateClassName);
+  jfieldID Counter = Fns->GetStaticFieldID(Env, Cls, "counter", "I");
+  for (uint64_t I = 0; I < Iters; ++I)
+    Fns->SetStaticIntField(Env, Cls, Counter,
+                           Fns->GetStaticIntField(Env, Cls, Counter) + 1);
+  Fns->DeleteLocalRef(Env, Cls);
+}
+
 const OpClass Ops[] = {
     {"get_version", 1, runGetVersion},
     {"string_utf_length", 1, runStringUtfLength},
     {"new_delete_local", 2, runNewDeleteLocal},
     {"frame_push_pop", 2, runFramePushPop},
+    {"static_field", 2, runStaticField},
 };
+
+/// Defines the fillers, then the static_field class.
+void defineLateClass(ScenarioWorld &World) {
+  for (int I = 0; I < LateClassFillers; ++I) {
+    jvm::ClassDef Filler;
+    Filler.Name = "bench/Filler" + std::to_string(I);
+    World.Vm.defineClass(Filler);
+  }
+  jvm::ClassDef Late;
+  Late.Name = LateClassName;
+  Late.field("counter", "I", /*IsStatic=*/true);
+  World.Vm.defineClass(Late);
+}
 
 WorldConfig tierConfig(const TierSpec &Tier) {
   WorldConfig Config;
@@ -144,6 +176,7 @@ int main(int Argc, char **Argv) {
   for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
     const TierSpec &Tier = Tiers[T];
     ScenarioWorld World(tierConfig(Tier));
+    defineLateClass(World);
     if (Tier.Fused && (!World.Jinn || !World.Jinn->fusedInstalled())) {
       std::fprintf(stderr, "bench_crossing_latency: fused tier refused: %s\n",
                    World.Jinn ? World.Jinn->fusedRefusal().c_str()

@@ -18,6 +18,8 @@
 
 #include "jinn/machines/MachineUtil.h"
 
+#include <algorithm>
+
 using namespace jinn;
 using namespace jinn::agent;
 using jinn::jni::ArgClass;
@@ -149,7 +151,9 @@ EntityTypingMachine::EntityTypingMachine(const MachineTuning &Tuning)
             jvm::Vm::PeekResult Peek = peekRef(Ctx, Recv);
             if (Peek.S == jvm::Vm::PeekResult::Status::Live) {
               if (jvm::Klass *Kl = Vm.klassFromMirror(Peek.Target)) {
-                if (Traits.Call == CallKind::Static &&
+                // A class declares its own methods, so only a method
+                // owned elsewhere needs the name and descriptor scan.
+                if (Traits.Call == CallKind::Static && Kl != M->Owner &&
                     !Kl->findDeclaredMethod(M->Name, M->Desc, true)) {
                   // The Eclipse/SWT case: the class only inherits it.
                   Ctx.reporter().violation(
@@ -185,13 +189,14 @@ EntityTypingMachine::EntityTypingMachine(const MachineTuning &Tuning)
           }
 
           // Reference-argument conformance (A forms carry jvalue arrays).
-          if (Ctx.call().materializeCallArgs()) {
-            const std::vector<jvalue> &Args = Ctx.call().callArgs();
-            for (size_t K = 0; K < M->Sig.Params.size(); ++K) {
+          if (std::optional<std::span<const jvalue>> Args =
+                  Ctx.call().callArgs(*M)) {
+            size_t N = std::min(Args->size(), M->Sig.Params.size());
+            for (size_t K = 0; K < N; ++K) {
               const jvm::TypeDesc &Formal = M->Sig.Params[K];
               if (!Formal.isReference())
                 continue;
-              if (!conformsTo(Ctx, jni::handleWord(Args[K].l), Formal)) {
+              if (!conformsTo(Ctx, jni::handleWord((*Args)[K].l), Formal)) {
                 Ctx.reporter().violation(
                     Ctx, Spec,
                     formatString("actual argument %zu does not conform to "

@@ -13,8 +13,9 @@
 ///    a couple dozen atomic pointers rather than one per page.
 ///  - SnapshotMap: an open-addressed hash map with lock-free snapshot reads
 ///    (RCU-style: growth publishes a rebuilt table and retires the old one
-///    until destruction). Writers must be externally serialized. Backs the
-///    class/method/field registries, which are append-only by construction.
+///    until destruction) and mixed home buckets. Writers must be externally
+///    serialized. Backs the class, mirror, method and field registries,
+///    which are append-only by construction.
 ///  - A process-wide live-instance registry keyed by serial number, so
 ///    thread-local caches (TLABs, mutator slots) can be returned safely on
 ///    OS-thread exit even when the owning Heap/Vm died first — or when a new
@@ -103,6 +104,12 @@ private:
 /// callers pass a predicate that always accepts. Entries are never removed;
 /// growth rebuilds into a fresh table, publishes it, and retires the old
 /// snapshot until destruction so concurrent readers stay valid (RCU-style).
+///
+/// Probing starts at a mixed home bucket, not at the key's low bits,
+/// because the registries' keys are structured: a class mirror's key is
+/// `Index << 32 | Gen` with the same Gen for every mirror, and method and
+/// field ID keys are aligned pointers. Masked directly, every mirror would
+/// share one bucket and each lookup would scan in definition order.
 template <typename V> class SnapshotMap {
 public:
   explicit SnapshotMap(size_t InitialPow2 = 64) {
@@ -121,7 +128,7 @@ public:
   template <typename Pred> V find(uint64_t Key, Pred &&Accept) const {
     assert(Key != 0 && "key 0 is the empty sentinel");
     const Table *T = Root.load(std::memory_order_acquire);
-    for (size_t I = Key & T->Mask;; I = (I + 1) & T->Mask) {
+    for (size_t I = home(Key, T->Mask);; I = (I + 1) & T->Mask) {
       uint64_t K = T->Entries[I].Key.load(std::memory_order_acquire);
       if (K == 0)
         return V();
@@ -173,10 +180,22 @@ private:
     return T;
   }
 
+  /// The bucket probing for \p Key starts at: the key through the
+  /// MurmurHash3 64-bit finalizer, so every key bit reaches the low bits
+  /// the mask keeps.
+  static size_t home(uint64_t Key, size_t Mask) {
+    Key ^= Key >> 33;
+    Key *= 0xff51afd7ed558ccdull;
+    Key ^= Key >> 33;
+    Key *= 0xc4ceb9fe1a85ec53ull;
+    Key ^= Key >> 33;
+    return static_cast<size_t>(Key) & Mask;
+  }
+
   /// Publishes value before key so a reader that sees the key sees the
   /// value (and, transitively, whatever the value points at).
   static void place(Table &T, uint64_t Key, V Val) {
-    for (size_t I = Key & T.Mask;; I = (I + 1) & T.Mask) {
+    for (size_t I = home(Key, T.Mask);; I = (I + 1) & T.Mask) {
       if (T.Entries[I].Key.load(std::memory_order_relaxed) == 0) {
         T.Entries[I].Val.store(Val, std::memory_order_relaxed);
         T.Entries[I].Key.store(Key, std::memory_order_release);

@@ -205,9 +205,12 @@ public:
   /// Live/stale/never-issued classification mirroring LocalRefState.
   LocalRefState globalRefState(const HandleBits &Bits) const;
 
-  /// Resolves a live global handle. A weak handle whose target was
-  /// collected resolves to null (legal per JNI).
-  ObjectId resolveGlobal(const HandleBits &Bits) const;
+  /// The handle's state and, when Live, its target in \p Target (null
+  /// otherwise, and for a weak handle whose target was collected, which is
+  /// legal per JNI). Both are read under one lock acquisition, so a
+  /// concurrent delete cannot land between them.
+  LocalRefState globalRefTarget(const HandleBits &Bits,
+                                ObjectId &Target) const;
 
   bool deleteGlobalRef(const HandleBits &Bits);
 

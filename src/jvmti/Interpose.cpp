@@ -64,28 +64,23 @@ bool CapturedCall::returnFieldIdValid() const {
   return RetPtr && vm().isFieldId(RetPtr);
 }
 
-bool CapturedCall::materializeCallArgs() {
-  CallArgs.clear();
+std::optional<std::span<const jvalue>>
+CapturedCall::callArgs(const jvm::MethodInfo &M) const {
   if (Snap) {
-    // The recorder materialized (and bounds-capped) the argument vector at
+    // The recorder copied (and bounds-capped) the argument array at
     // crossing time; the raw jvalue array pointer in the trace is dead.
     if (!Snap->HasCallArgs)
-      return false;
-    CallArgs.assign(Snap->CallArgs, Snap->CallArgs + Snap->NumCallArgs);
-    return true;
+      return std::nullopt;
+    return std::span<const jvalue>(Snap->CallArgs, Snap->NumCallArgs);
   }
   int ArrIndex = Traits->firstParam(ArgClass::JvalueArray);
   if (ArrIndex < 0)
-    return false;
-  jvm::MethodInfo *M = methodArg();
-  if (!M)
-    return false;
+    return std::nullopt;
   const jvalue *Raw = static_cast<const jvalue *>(Args[ArrIndex].Ptr);
-  size_t N = M->Sig.Params.size();
+  size_t N = M.Sig.Params.size();
   if (!Raw && N > 0)
-    return false;
-  CallArgs.assign(Raw, Raw + N);
-  return true;
+    return std::nullopt;
+  return std::span<const jvalue>(Raw, N);
 }
 
 //===----------------------------------------------------------------------===

@@ -35,15 +35,19 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <optional>
+#include <span>
+#include <type_traits>
 
 namespace jinn::jvmti {
 
-/// One classified argument of an in-flight call.
+/// One classified argument of an in-flight call. No default member
+/// initializers: CapturedCall writes only the first numArgs() entries of
+/// its argument array, so the rest is never zero-filled.
 struct CapturedArg {
-  jni::ArgClass Cls = jni::ArgClass::Scalar;
-  uint64_t Word = 0;         ///< handle bits, ID bits, or scalar payload
-  const void *Ptr = nullptr; ///< cstring / jvalue array / out-pointer
+  jni::ArgClass Cls;
+  uint64_t Word;   ///< handle bits, ID bits, or scalar payload
+  const void *Ptr; ///< cstring / jvalue array / out-pointer
 };
 
 /// One recorded handle observation: what Vm::peekHandle returned for a
@@ -185,10 +189,12 @@ public:
   jvm::FieldInfo *fieldArg() const;
   uint64_t fieldArgWord() const;
 
-  /// Decodes the jvalue-array argument against the method signature into
-  /// callArgs(). Returns false when there is no decodable argument vector.
-  bool materializeCallArgs();
-  const std::vector<jvalue> &callArgs() const { return CallArgs; }
+  /// The jvalue-array argument of a Call*MethodA crossing, decoded against
+  /// \p M's signature: a view over the caller's array on the live path, or
+  /// over the recorded BoundarySnapshot::CallArgs under replay. Nothing is
+  /// copied. std::nullopt when the call has no decodable argument array.
+  std::optional<std::span<const jvalue>>
+  callArgs(const jvm::MethodInfo &M) const;
 
   //===------------------------------------------------------------------===
   // Return value (valid in post hooks)
@@ -267,8 +273,7 @@ public:
       RetPtr = V;
       RetWord = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(V));
     } else if constexpr (std::is_floating_point_v<T>) {
-      RetWord = 0;
-      RetDouble = static_cast<double>(V);
+      RetWord = 0; // no machine observes a floating-point return
     } else {
       RetWord = static_cast<uint64_t>(V);
     }
@@ -299,18 +304,20 @@ private:
   const jni::FnTraits *Traits;
   const BoundarySnapshot *Snap = nullptr;
   const ReplayEnvironment *Renv = nullptr;
-  std::array<CapturedArg, 5> Args;
+  std::array<CapturedArg, 5> Args; ///< only [0, NumArgs) is written
   size_t NumArgs = 0;
-  std::vector<jvalue> CallArgs;
   bool HasReturn = false;
   bool RetIsRef = false;
   uint64_t RetWord = 0;
-  double RetDouble = 0.0;
   const void *RetPtr = nullptr;
   bool Aborted = false;
   const void *MemoOwner = nullptr;
   void *MemoValue = nullptr;
 };
+
+static_assert(std::is_trivially_destructible_v<CapturedCall>,
+              "a crossing's capture owns nothing: no allocation, no "
+              "destructor on the wrapper's return path");
 
 /// Hook invoked before (pre) or after (post) a JNI function executes.
 using HookFn = std::function<void(CapturedCall &)>;

@@ -52,28 +52,24 @@ const MutantInfo *jinn::mutate::findMutant(const std::string &NameOrId) {
   return nullptr;
 }
 
-namespace {
-
-/// Parses JINN_MUTANT once at first use. An unknown selector is a hard
+/// Parses JINN_MUTANT once, at start-up. An unknown selector is a hard
 /// configuration error: silently running unmutated would record a
 /// spurious "survived" verdict.
-int initFromEnv() {
+int jinn::mutate::detail::activateFromEnvironment() {
   const char *Env = std::getenv("JINN_MUTANT");
-  if (!Env || !*Env)
-    return 0;
-  if (const MutantInfo *Info = jinn::mutate::findMutant(std::string(Env)))
-    return Info->Id;
-  std::fprintf(stderr, "jinn-mutate: unknown JINN_MUTANT \"%s\"\n", Env);
-  std::abort();
-}
-
-} // namespace
-
-std::atomic<int> &jinn::mutate::detail::activeSlot() {
-  static std::atomic<int> Slot{initFromEnv()};
-  return Slot;
+  int Id = 0;
+  if (Env && *Env) {
+    const MutantInfo *Info = findMutant(std::string(Env));
+    if (!Info) {
+      std::fprintf(stderr, "jinn-mutate: unknown JINN_MUTANT \"%s\"\n", Env);
+      std::abort();
+    }
+    Id = Info->Id;
+  }
+  ActiveSlot.store(Id, std::memory_order_relaxed);
+  return Id;
 }
 
 void jinn::mutate::setActiveMutant(int Id) {
-  detail::activeSlot().store(Id, std::memory_order_relaxed);
+  detail::ActiveSlot.store(Id, std::memory_order_relaxed);
 }

@@ -71,9 +71,17 @@ const MutantInfo *findMutant(int Id);
 const MutantInfo *findMutant(const std::string &NameOrId);
 
 namespace detail {
-/// The process-wide active mutant id (0 = none), initialized once from
-/// the JINN_MUTANT environment variable.
-std::atomic<int> &activeSlot();
+/// The process-wide active mutant id (0 = none). Constant-initialized, so
+/// a guarded site reads it with one relaxed load and no initialization
+/// guard.
+inline constinit std::atomic<int> ActiveSlot{0};
+
+/// Stores the JINN_MUTANT selection into ActiveSlot and returns it.
+int activateFromEnvironment();
+
+/// Runs activateFromEnvironment() during static initialization of any
+/// program that includes this header, which also links the definition in.
+inline const int EnvironmentMutant = activateFromEnvironment();
 } // namespace detail
 
 /// Id of the active mutant (0 when running unmutated). Under a pinned
@@ -83,7 +91,7 @@ inline int activeMutant() {
 #ifdef JINN_MUTANT_PINNED
   return JINN_MUTANT_PINNED;
 #else
-  return detail::activeSlot().load(std::memory_order_relaxed);
+  return detail::ActiveSlot.load(std::memory_order_relaxed);
 #endif
 }
 

@@ -99,23 +99,10 @@ jinn::spec::matchedFunctions(const FunctionSelector &Fns) {
   return Out;
 }
 
-uint32_t TransitionContext::threadId() const {
-  if (Snap)
-    return Snap->ThreadId;
-  return Env->thread->id();
-}
-
 std::string TransitionContext::threadName() const {
   if (Snap)
     return Renv->threadName(Snap->ThreadId);
   return Env->thread->name();
-}
-
-uint32_t TransitionContext::currentThreadId() const {
-  if (Snap)
-    return Snap->CurThreadId;
-  jvm::JThread *Cur = Env->runtime->currentThread();
-  return Cur ? Cur->id() : 0;
 }
 
 std::string TransitionContext::currentThreadName() const {
@@ -123,18 +110,6 @@ std::string TransitionContext::currentThreadName() const {
     return Renv->threadName(Snap->CurThreadId);
   jvm::JThread *Cur = Env->runtime->currentThread();
   return Cur ? Cur->name() : std::string();
-}
-
-uint64_t TransitionContext::envWord() const {
-  if (Snap)
-    return Snap->EnvWord;
-  return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Env));
-}
-
-bool TransitionContext::exceptionPending() const {
-  if (Snap)
-    return Snap->ExceptionPending;
-  return !Env->thread->Pending.isNull();
 }
 
 jvm::Vm::PeekResult TransitionContext::peek(uint64_t Word) const {
@@ -178,12 +153,6 @@ void TransitionContext::abortCall() {
     Call->abortCall();
   else
     NativeAborted = true;
-}
-
-bool TransitionContext::aborted() const {
-  if (isJniSite())
-    return Call->aborted();
-  return NativeAborted;
 }
 
 std::string TransitionContext::siteName() const {

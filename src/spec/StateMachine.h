@@ -172,17 +172,38 @@ public:
   // stable entities: klasses, method/field infos, the heap).
   //===------------------------------------------------------------------===
 
+  // The five reads nearly every slot makes are inline: on the live path
+  // each is a load or two off the JNIEnv. Their replay branches read one
+  // snapshot field.
+
   /// Id/name of the thread the JNIEnv at this site belongs to.
-  uint32_t threadId() const;
+  uint32_t threadId() const {
+    if (Snap) [[unlikely]]
+      return Snap->ThreadId;
+    return Env->thread->id();
+  }
   std::string threadName() const;
   /// Id/name of the thread actually executing the call (0/"" unknown); only
   /// differs from threadId() when code uses another thread's JNIEnv.
-  uint32_t currentThreadId() const;
+  uint32_t currentThreadId() const {
+    if (Snap) [[unlikely]]
+      return Snap->CurThreadId;
+    jvm::JThread *Cur = Env->runtime->currentThread();
+    return Cur ? Cur->id() : 0;
+  }
   std::string currentThreadName() const;
   /// Identity of the JNIEnv pointer used at this site.
-  uint64_t envWord() const;
+  uint64_t envWord() const {
+    if (Snap) [[unlikely]]
+      return Snap->EnvWord;
+    return static_cast<uint64_t>(reinterpret_cast<uintptr_t>(Env));
+  }
   /// Whether an exception is pending on the site's thread.
-  bool exceptionPending() const;
+  bool exceptionPending() const {
+    if (Snap) [[unlikely]]
+      return Snap->ExceptionPending;
+    return !Env->thread->Pending.isNull();
+  }
   /// Handle inspection as of crossing time (Vm::peekHandle semantics).
   jvm::Vm::PeekResult peek(uint64_t Word) const;
   /// For pin-release sites: whether \p Buf had a pin record, and the pinned
@@ -195,7 +216,7 @@ public:
 
   /// Suppresses the underlying call (JNI pre sites and native entries).
   void abortCall();
-  bool aborted() const;
+  bool aborted() const { return isJniSite() ? Call->aborted() : NativeAborted; }
 
   /// Name of the FFI function / native method at this site.
   std::string siteName() const;

@@ -294,22 +294,22 @@ void TraceRecorder::captureJniSnapshot(jvmti::BoundarySnapshot &Snap,
     }
   }
 
-  // Decoded call-argument vectors (CallXMethodA family) plus peeks of the
+  // Decoded call-argument arrays (CallXMethodA family) plus peeks of the
   // reference formals the entity-typing machine conforms.
-  if (!IsPost && Traits.hasParam(jni::ArgClass::JvalueArray) &&
-      Call.materializeCallArgs()) {
-    const std::vector<jvalue> &CallArgs = Call.callArgs();
-    if (CallArgs.size() <= jvmti::BoundarySnapshot::MaxCallArgs) {
-      Snap.HasCallArgs = true;
-      Snap.NumCallArgs = static_cast<uint8_t>(CallArgs.size());
-      std::copy(CallArgs.begin(), CallArgs.end(), Snap.CallArgs);
-      if (jvm::MethodInfo *Method = Call.methodArg())
-        for (size_t I = 0;
-             I < CallArgs.size() && I < Method->Sig.Params.size(); ++I)
-          if (Method->Sig.Params[I].isReference())
-            capturePeek(Snap, jni::handleWord(CallArgs[I].l), Thread);
-    }
-  }
+  if (IsPost || !Traits.hasParam(jni::ArgClass::JvalueArray))
+    return;
+  jvm::MethodInfo *Method = Call.methodArg();
+  if (!Method)
+    return;
+  std::optional<std::span<const jvalue>> CallArgs = Call.callArgs(*Method);
+  if (!CallArgs || CallArgs->size() > jvmti::BoundarySnapshot::MaxCallArgs)
+    return;
+  Snap.HasCallArgs = true;
+  Snap.NumCallArgs = static_cast<uint8_t>(CallArgs->size());
+  std::copy(CallArgs->begin(), CallArgs->end(), Snap.CallArgs);
+  for (size_t I = 0; I < CallArgs->size(); ++I)
+    if (Method->Sig.Params[I].isReference())
+      capturePeek(Snap, jni::handleWord((*CallArgs)[I].l), Thread);
 }
 
 //===----------------------------------------------------------------------===

@@ -12,7 +12,9 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
+#include <optional>
 #include <type_traits>
 
 using namespace jinn;
@@ -55,9 +57,31 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-/// Why \p Ev cannot be a recorded event (its enum fields out of range or a
-/// count past its array), or null when every field is in range. Replay and
-/// the lifter index arrays by these counts and cast these enums unchecked.
+/// Whether events of kind \p Kind belong to a thread. Bind, GC and
+/// VM-death events carry no thread id.
+bool namesThread(EventKind Kind) {
+  switch (Kind) {
+  case EventKind::JniPre:
+  case EventKind::JniPost:
+  case EventKind::NativeEntry:
+  case EventKind::NativeExit:
+  case EventKind::ThreadAttach:
+  case EventKind::ThreadDetach:
+    return true;
+  case EventKind::NativeBind:
+  case EventKind::GcEpoch:
+  case EventKind::VmDeath:
+    return false;
+  }
+  return false;
+}
+
+/// Why \p Ev cannot be a recorded event (its enum fields out of range, a
+/// count past its array, or JNI arguments that are not the ones the
+/// wrapper of its function captures), or null when every field is in
+/// range. Replay and the lifter index arrays by these counts, cast these
+/// enums unchecked, and read a JNI event's arguments at the positions its
+/// function's traits name.
 const char *malformedField(const TraceEvent &Ev) {
   if (static_cast<size_t>(Ev.Kind) >= NumEventKinds)
     return "event kind out of range";
@@ -69,6 +93,14 @@ const char *malformedField(const TraceEvent &Ev) {
   for (size_t I = 0; I < Ev.NumArgs; ++I)
     if (Ev.Args[I].Cls > static_cast<uint8_t>(jni::ArgClass::OutPtr))
       return "argument class out of range";
+  if (IsJni) {
+    const jni::FnTraits &Traits = jni::fnTraits(static_cast<jni::FnId>(Ev.Fn));
+    if (Ev.NumArgs != Traits.NumParams)
+      return "argument count differs from the function's arity";
+    for (size_t I = 0; I < Ev.NumArgs; ++I)
+      if (Ev.Args[I].Cls != static_cast<uint8_t>(Traits.Params[I].Cls))
+        return "argument class differs from the function's parameter";
+  }
   if (Ev.NumNativeArgs > TraceEvent::MaxNativeArgs)
     return "native argument count above its cap";
   if (Ev.Snap.NumPeeks > jvmti::BoundarySnapshot::MaxPeeks)
@@ -86,18 +118,31 @@ bool jinn::trace::writeTraceFile(const Trace &T, const std::string &Path,
   if (!File)
     return fail(Err, "cannot open " + Path + " for writing");
 
+  // Every thread an event names gets an entry, named or not: a drained
+  // segment or a bounded recording can hold a thread's events without its
+  // attach event, and the reader rejects an event whose thread is absent.
+  // A thread's events come in runs, so the table is searched once a run.
+  std::map<uint32_t, std::string> Threads(T.ThreadNames.begin(),
+                                          T.ThreadNames.end());
+  std::optional<uint32_t> LastThread;
+  for (const TraceEvent &Ev : T.Events)
+    if (namesThread(Ev.Kind) && Ev.ThreadId != LastThread) {
+      Threads.try_emplace(Ev.ThreadId);
+      LastThread = Ev.ThreadId;
+    }
+
   FileHeader Header = {};
   std::memcpy(Header.Magic, FileMagic, sizeof(FileMagic));
   Header.Version = FileVersion;
   Header.EventSize = static_cast<uint32_t>(sizeof(TraceEvent));
   Header.NativeFrameCapacity = T.Head.NativeFrameCapacity;
-  Header.ThreadCount = static_cast<uint32_t>(T.ThreadNames.size());
+  Header.ThreadCount = static_cast<uint32_t>(Threads.size());
   Header.EventCount = T.Events.size();
   Header.DroppedEvents = T.Head.DroppedEvents;
   if (std::fwrite(&Header, sizeof(Header), 1, File.get()) != 1)
     return fail(Err, "short write on header");
 
-  for (const auto &[Id, Name] : T.ThreadNames) {
+  for (const auto &[Id, Name] : Threads) {
     ThreadEntry Entry = {};
     Entry.Id = Id;
     std::snprintf(Entry.Name, sizeof(Entry.Name), "%s", Name.c_str());
@@ -161,11 +206,21 @@ bool jinn::trace::readTraceFile(Trace &Out, const std::string &Path,
       std::fread(Out.Events.data(), sizeof(TraceEvent), Header.EventCount,
                  File.get()) != Header.EventCount)
     return fail(Err, "truncated event stream in " + Path);
-  for (size_t I = 0; I < Out.Events.size(); ++I)
-    if (const char *Why = malformedField(Out.Events[I])) {
+  std::optional<uint32_t> LastThread; // checked already; events come in runs
+  for (size_t I = 0; I < Out.Events.size(); ++I) {
+    const TraceEvent &Ev = Out.Events[I];
+    const char *Why = malformedField(Ev);
+    if (!Why && namesThread(Ev.Kind) && Ev.ThreadId != LastThread) {
+      if (Out.ThreadNames.count(Ev.ThreadId))
+        LastThread = Ev.ThreadId;
+      else
+        Why = "thread id not in the thread table";
+    }
+    if (Why) {
       Out = Trace();
       return fail(Err, formatString("malformed event %zu in %s: %s", I,
                                     Path.c_str(), Why));
     }
+  }
   return true;
 }

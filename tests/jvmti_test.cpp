@@ -135,7 +135,7 @@ TEST_F(JvmtiTest, PreAllRunsBeforePerFunctionHooks) {
   EXPECT_EQ(Order[1], 2);
 }
 
-TEST_F(JvmtiTest, MaterializeCallArgsDecodesAgainstTheSignature) {
+TEST_F(JvmtiTest, CallArgsViewDecodesAgainstTheSignature) {
   jvm::ClassDef Def;
   Def.Name = "t/Args";
   Def.method("m", "(ILjava/lang/String;)V",
@@ -147,10 +147,14 @@ TEST_F(JvmtiTest, MaterializeCallArgsDecodesAgainstTheSignature) {
   W.define(Def);
   jvmti::InterposeDispatcher &D = Jvmti.dispatcher();
   std::vector<jvalue> Seen;
+  const jvalue *SeenData = nullptr;
   D.addPre(FnId::CallStaticVoidMethodA, [&](jvmti::CapturedCall &Call) {
-    if (Call.materializeCallArgs())
-      Seen = Call.callArgs();
-    EXPECT_NE(Call.methodArg(), nullptr);
+    jvm::MethodInfo *M = Call.methodArg();
+    ASSERT_NE(M, nullptr);
+    if (std::optional<std::span<const jvalue>> View = Call.callArgs(*M)) {
+      Seen.assign(View->begin(), View->end());
+      SeenData = View->data();
+    }
   });
   jclass Cls = Env->functions->FindClass(Env, "t/Args");
   jmethodID M =
@@ -164,6 +168,51 @@ TEST_F(JvmtiTest, MaterializeCallArgsDecodesAgainstTheSignature) {
   ASSERT_EQ(Seen.size(), 2u);
   EXPECT_EQ(Seen[0].i, 77);
   EXPECT_EQ(Seen[1].l, S);
+  // Live, the view is the caller's own array: nothing was copied.
+  EXPECT_EQ(SeenData, Args);
+}
+
+TEST_F(JvmtiTest, CallArgsViewReadsTheReplaySnapshot) {
+  jvm::ClassDef Def;
+  Def.Name = "t/ReplayArgs";
+  Def.method("m", "(IJ)V",
+             [](jvm::Vm &, jvm::JThread &, const jvm::Value &,
+                const std::vector<jvm::Value> &) {
+               return jvm::Value::makeVoid();
+             },
+             true);
+  W.define(Def);
+  jclass Cls = Env->functions->FindClass(Env, "t/ReplayArgs");
+  jmethodID M = Env->functions->GetStaticMethodID(Env, Cls, "m", "(IJ)V");
+  auto *Method = reinterpret_cast<jvm::MethodInfo *>(M);
+
+  jvmti::BoundarySnapshot Snap;
+  Snap.MethodIdValid = true;
+  Snap.HasCallArgs = true;
+  Snap.NumCallArgs = 2;
+  Snap.CallArgs[0].i = 5;
+  Snap.CallArgs[1].j = 1ll << 40;
+  jvmti::ReplayEnvironment Renv;
+  Renv.Vm = &W.Vm;
+  jvmti::CapturedCall Call(FnId::CallStaticVoidMethodA, &Snap, &Renv);
+  Call.restoreArg(jni::ArgClass::Ref, jni::handleWord(Cls), 0);
+  Call.restoreArg(jni::ArgClass::MethodId,
+                  reinterpret_cast<uintptr_t>(M),
+                  reinterpret_cast<uintptr_t>(M));
+  // The recorded array pointer is dead under replay; the view must not
+  // read through it.
+  Call.restoreArg(jni::ArgClass::JvalueArray, 0, 0xdead0);
+  ASSERT_EQ(Call.methodArg(), Method);
+  std::optional<std::span<const jvalue>> View = Call.callArgs(*Method);
+  ASSERT_TRUE(View.has_value());
+  ASSERT_EQ(View->size(), 2u);
+  EXPECT_EQ(View->data(), Snap.CallArgs);
+  EXPECT_EQ((*View)[0].i, 5);
+  EXPECT_EQ((*View)[1].j, 1ll << 40);
+
+  // A crossing recorded without a decodable array has no view.
+  Snap.HasCallArgs = false;
+  EXPECT_FALSE(Call.callArgs(*Method).has_value());
 }
 
 TEST_F(JvmtiTest, NativeMethodBindEventCanWrap) {

@@ -172,6 +172,37 @@ TEST(BlindSpotRegression, NullnessInversionFlipsACleanMicro) {
             Outcome::Running);
 }
 
+TEST(BlindSpotRegression, InlineProbeFlipsWithinOneFusedWorld) {
+  // A guarded site reads the active mutant afresh on every crossing, so
+  // setActiveMutant takes effect at the next crossing of a world that is
+  // already running on the fused tier, and switching back restores it.
+  using namespace jinn::scenarios;
+  WorldConfig Cfg;
+  Cfg.Checker = CheckerKind::Jinn;
+  ScenarioWorld World(Cfg);
+  ASSERT_TRUE(World.Jinn->fusedInstalled());
+  std::vector<size_t> Counts;
+  World.runAsNative("InlineProbeFlip", [&](JNIEnv *Env) {
+    const JNINativeInterface_ *Fns = Env->functions;
+    jstring S = Fns->NewStringUTF(Env, "probe");
+    auto Cross = [&] {
+      Fns->GetStringUTFLength(Env, S);
+      Fns->ExceptionClear(Env); // a report throws; keep the frame usable
+      Counts.push_back(World.Jinn->reporter().reportCount());
+    };
+    Cross();
+    {
+      MutantGuard Guard(M::SpecNullnessInverted);
+      EXPECT_EQ(activeMutant(), static_cast<int>(M::SpecNullnessInverted));
+      Cross(); // the non-null string now reads as null
+    }
+    EXPECT_EQ(activeMutant(), 0);
+    Cross();
+  });
+  EXPECT_EQ(Counts, (std::vector<size_t>{0, 1, 1}));
+  EXPECT_EQ(World.Jinn->reporter().countFor("Nullness"), 1u);
+}
+
 TEST(KillJudge, EquivalentMutantProducesIdenticalFingerprint) {
   // Mutant 2 (one fewer TLAB slot) is the annotated equivalent: the
   // whole fingerprint, not just the probes, must match the baseline.

@@ -24,6 +24,7 @@
 #include "workloads/Workloads.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -293,6 +294,153 @@ TEST(TraceFileFormat, RejectsOutOfRangeFields) {
     EXPECT_TRUE(Out.Events.empty());
   }
   std::remove(Path.c_str());
+}
+
+namespace {
+
+/// The argument classes the interposed wrapper of a function captures,
+/// derived from the wrapper's own parameter types.
+template <typename F> struct WrapperCapture;
+template <typename Ret, typename... Params>
+struct WrapperCapture<Ret (*)(JNIEnv *, Params...)> {
+  static jvmti::CapturedCall capture(jni::FnId Id) {
+    jvmti::CapturedCall Call(Id, nullptr);
+    (Call.captureOne(Params{}), ...);
+    return Call;
+  }
+};
+
+/// Overwrites \p Size bytes at \p Offset of event \p Index in the trace
+/// file at \p Path, past the 40-byte header and the thread table.
+void patchEvent(const std::string &Path, size_t Index, size_t Offset,
+                const void *Bytes, size_t Size) {
+  std::fstream File(Path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(File.is_open());
+  uint32_t Threads = 0;
+  File.seekg(20);
+  File.read(reinterpret_cast<char *>(&Threads), sizeof(Threads));
+  File.seekp(40 + Threads * 36 + Index * sizeof(trace::TraceEvent) + Offset);
+  File.write(static_cast<const char *>(Bytes), Size);
+}
+
+} // namespace
+
+// The reader rejects a JNI event whose arguments are not the ones its
+// function's wrapper captures; that is only sound if every wrapper's
+// capture agrees with the traits table.
+TEST(TraceFileFormat, EveryWrapperCaptureMatchesTheTraits) {
+  size_t Checked = 0;
+#define JNI_FN(Name, Ret, Signature, Args)                                   \
+  {                                                                          \
+    SCOPED_TRACE(#Name);                                                     \
+    jvmti::CapturedCall Call =                                               \
+        WrapperCapture<Ret(*) Signature>::capture(jni::FnId::Name);          \
+    const jni::FnTraits &Traits = jni::fnTraits(jni::FnId::Name);            \
+    ASSERT_EQ(Call.numArgs(), Traits.NumParams);                             \
+    for (size_t I = 0; I < Call.numArgs(); ++I)                              \
+      EXPECT_EQ(Call.arg(I).Cls, Traits.Params[I].Cls) << "argument " << I;  \
+    ++Checked;                                                               \
+  }
+#define JNI_FN_VA(Name, Ret, Params, Args)
+#define JNI_FN_VL(Name, Ret, Params, Args)
+#include "jni/JniFunctions.def"
+#undef JNI_FN_VL
+#undef JNI_FN_VA
+#undef JNI_FN
+  EXPECT_GT(Checked, 150u);
+}
+
+TEST(TraceFileFormat, RejectsArgumentsThatDisagreeWithTheFunction) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordOnly));
+  runMicrobenchmark(MicroId::LocalDangling, World);
+  World.shutdown();
+  const trace::Trace Recorded = World.Jinn->recorder()->collect();
+  size_t Jni = 0;
+  while (Jni < Recorded.Events.size() &&
+         (Recorded.Events[Jni].Kind != trace::EventKind::JniPre ||
+          Recorded.Events[Jni].NumArgs == 0))
+    ++Jni;
+  ASSERT_LT(Jni, Recorded.Events.size());
+
+  using Corruption = void (*)(trace::TraceEvent &);
+  const std::pair<const char *, Corruption> Cases[] = {
+      {"argument count differs from the function's arity",
+       [](trace::TraceEvent &Ev) { --Ev.NumArgs; }},
+      {"argument class differs from the function's parameter",
+       [](trace::TraceEvent &Ev) {
+         Ev.Args[0].Cls =
+             Ev.Args[0].Cls == static_cast<uint8_t>(jni::ArgClass::Ref)
+                 ? static_cast<uint8_t>(jni::ArgClass::Scalar)
+                 : static_cast<uint8_t>(jni::ArgClass::Ref);
+       }},
+  };
+  std::string Path = tracePath("badarity");
+  for (const auto &[Why, Corrupt] : Cases) {
+    SCOPED_TRACE(Why);
+    trace::Trace Bad = Recorded;
+    Corrupt(Bad.Events[Jni]);
+    std::string Err;
+    ASSERT_TRUE(trace::writeTraceFile(Bad, Path, &Err)) << Err;
+    trace::Trace Out;
+    EXPECT_FALSE(trace::readTraceFile(Out, Path, &Err));
+    EXPECT_NE(Err.find(Why), std::string::npos) << Err;
+    EXPECT_TRUE(Out.Events.empty());
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(TraceFileFormat, RejectsAThreadMissingFromTheThreadTable) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordOnly));
+  runMicrobenchmark(MicroId::LocalDangling, World);
+  World.shutdown();
+  const trace::Trace Recorded = World.Jinn->recorder()->collect();
+  size_t Jni = 0;
+  while (Jni < Recorded.Events.size() &&
+         Recorded.Events[Jni].Kind != trace::EventKind::JniPre)
+    ++Jni;
+  ASSERT_LT(Jni, Recorded.Events.size());
+
+  std::string Path = tracePath("badthread");
+  std::string Err;
+  ASSERT_TRUE(trace::writeTraceFile(Recorded, Path, &Err)) << Err;
+  const uint32_t Unknown = 0x7FFFFFF0;
+  ASSERT_EQ(Recorded.ThreadNames.count(Unknown), 0u);
+  patchEvent(Path, Jni, offsetof(trace::TraceEvent, ThreadId), &Unknown,
+             sizeof(Unknown));
+  trace::Trace Out;
+  EXPECT_FALSE(trace::readTraceFile(Out, Path, &Err));
+  EXPECT_NE(Err.find("thread id not in the thread table"), std::string::npos)
+      << Err;
+  EXPECT_TRUE(Out.Events.empty());
+  std::remove(Path.c_str());
+}
+
+// A drained segment can hold a thread's events without its attach event;
+// the writer still lists that thread, so the file reads back.
+TEST(TraceFileFormat, WriterListsEveryThreadItsEventsName) {
+  ScenarioWorld World(recordingConfig(agent::TraceMode::RecordOnly));
+  runMicrobenchmark(MicroId::LocalDangling, World);
+  World.shutdown();
+  trace::Trace Segment = World.Jinn->recorder()->collect();
+  std::erase_if(Segment.Events, [](const trace::TraceEvent &Ev) {
+    return Ev.Kind == trace::EventKind::ThreadAttach;
+  });
+  Segment.rebuildThreadNames();
+  ASSERT_TRUE(Segment.ThreadNames.empty());
+
+  std::string Path = tracePath("noattach");
+  std::string Err;
+  ASSERT_TRUE(trace::writeTraceFile(Segment, Path, &Err)) << Err;
+  trace::Trace Out;
+  ASSERT_TRUE(trace::readTraceFile(Out, Path, &Err)) << Err;
+  std::remove(Path.c_str());
+  ASSERT_EQ(Out.Events.size(), Segment.Events.size());
+  for (const trace::TraceEvent &Ev : Out.Events)
+    if (Ev.Kind == trace::EventKind::JniPre) {
+      EXPECT_EQ(Out.ThreadNames.count(Ev.ThreadId), 1u);
+      EXPECT_EQ(Out.threadName(Ev.ThreadId),
+                "thread-" + std::to_string(Ev.ThreadId));
+    }
 }
 
 TEST(TraceFileFormat, MissingFileFails) {

@@ -197,10 +197,14 @@ TEST_F(VmTest, GlobalRefsSurviveGcAndWeaksClear) {
   uint64_t StrongRef = V.newGlobalRef(Strong, false);
   uint64_t WeakRef = V.newGlobalRef(Weak, true);
   V.gc();
-  EXPECT_EQ(V.resolveGlobal(*decodeHandle(StrongRef)), Strong);
+  ObjectId Target;
+  EXPECT_EQ(V.globalRefTarget(*decodeHandle(StrongRef), Target),
+            LocalRefState::Live);
+  EXPECT_EQ(Target, Strong);
   // The weak target had no strong refs: cleared, handle resolves to null.
-  EXPECT_EQ(V.globalRefState(*decodeHandle(WeakRef)), LocalRefState::Live);
-  EXPECT_TRUE(V.resolveGlobal(*decodeHandle(WeakRef)).isNull());
+  EXPECT_EQ(V.globalRefTarget(*decodeHandle(WeakRef), Target),
+            LocalRefState::Live);
+  EXPECT_TRUE(Target.isNull());
 }
 
 TEST_F(VmTest, DeleteGlobalRefInvalidatesAndRecycles) {
@@ -224,8 +228,9 @@ TEST_F(VmTest, GlobalSlotGenerationWrapsAtTheHandleWidth) {
     ASSERT_TRUE(V.deleteGlobalRef(*decodeHandle(V.newGlobalRef(Obj, false))));
   const HandleBits Bits = *decodeHandle(V.newGlobalRef(Obj, false));
   EXPECT_EQ(Bits.Slot, First.Slot);
-  EXPECT_EQ(V.globalRefState(Bits), LocalRefState::Live);
-  EXPECT_EQ(V.resolveGlobal(Bits), Obj);
+  ObjectId Target;
+  EXPECT_EQ(V.globalRefTarget(Bits, Target), LocalRefState::Live);
+  EXPECT_EQ(Target, Obj);
   EXPECT_EQ(V.globalRefState(First), LocalRefState::Stale);
   HandleBits Ahead = Bits;
   Ahead.Gen = (Bits.Gen + 1) & handle_detail::GenMask;
@@ -307,6 +312,43 @@ TEST_F(VmTest, MethodAndFieldIdRegistries) {
   EXPECT_FALSE(V.isMethodId(Msg));
   int Dummy = 0;
   EXPECT_FALSE(V.isFieldId(&Dummy));
+}
+
+TEST(SnapshotMapTest, FindsKeysWhoseLowBitsCollideAcrossGrowth) {
+  constexpr uint64_t N = 1500;
+  // Mirror-shaped keys: Index << 32 | Gen with one Gen for all.
+  SnapshotMap<uint64_t> Mirrors(4);
+  for (uint64_t I = 1; I <= N; ++I) {
+    Mirrors.insert(I << 32 | 1, I);
+    if ((I & (I - 1)) == 0) { // every power of two, i.e. across each growth
+      for (uint64_t J = 1; J <= I; ++J)
+        ASSERT_EQ(Mirrors.find(J << 32 | 1), J) << "after " << I;
+    }
+  }
+  for (uint64_t I = 1; I <= N; ++I)
+    ASSERT_EQ(Mirrors.find(I << 32 | 1), I);
+  EXPECT_EQ(Mirrors.find((N + 1) << 32 | 1), 0u);
+  EXPECT_EQ(Mirrors.find(1), 0u);
+
+  // Pointer-shaped keys: 16-byte-aligned addresses, low 4 bits all zero.
+  struct alignas(16) Cell {
+    uint64_t Payload;
+  };
+  std::vector<Cell> Cells(N);
+  SnapshotMap<const Cell *> Pointers(4);
+  for (size_t I = 0; I < N; ++I) {
+    Pointers.insert(reinterpret_cast<uintptr_t>(&Cells[I]), &Cells[I]);
+    if ((I & (I + 1)) == 0) {
+      for (size_t J = 0; J <= I; ++J)
+        ASSERT_EQ(Pointers.find(reinterpret_cast<uintptr_t>(&Cells[J])),
+                  &Cells[J])
+            << "after " << I;
+    }
+  }
+  for (const Cell &C : Cells)
+    ASSERT_EQ(Pointers.find(reinterpret_cast<uintptr_t>(&C)), &C);
+  Cell Outside;
+  EXPECT_EQ(Pointers.find(reinterpret_cast<uintptr_t>(&Outside)), nullptr);
 }
 
 } // namespace
