@@ -37,9 +37,10 @@ int main() {
     if (!Info.DetectableAtBoundary)
       continue;
     ++Total;
-    WorldConfig Hs{VmFlavor::HotSpotLike, CheckerKind::Xcheck, false, {}, {}};
-    WorldConfig J9{VmFlavor::J9Like, CheckerKind::Xcheck, false, {}, {}};
-    WorldConfig Jn{VmFlavor::HotSpotLike, CheckerKind::Jinn, false, {}, {}};
+    WorldConfig Hs{VmFlavor::HotSpotLike, CheckerKind::Xcheck, false,
+                   {}, {}, {}};
+    WorldConfig J9{VmFlavor::J9Like, CheckerKind::Xcheck, false, {}, {}, {}};
+    WorldConfig Jn{VmFlavor::HotSpotLike, CheckerKind::Jinn, false, {}, {}, {}};
     Outcome OHs = runMicroToOutcome(Info.Id, Hs);
     Outcome OJ9 = runMicroToOutcome(Info.Id, J9);
     Outcome OJn = runMicroToOutcome(Info.Id, Jn);

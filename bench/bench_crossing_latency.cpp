@@ -22,15 +22,23 @@
 /// the fused tier must sit between interpose-only and sparse, i.e.
 /// fused < sparse < dense on every op class.
 ///
+/// Every tier's world is built up front and the tiers are measured
+/// interleaved: each sample of an op times all five tiers back to back, and
+/// the order rotates by one tier per sample, so over Samples samples every
+/// tier takes every position once. Host drift and warm-up then land on all
+/// tiers alike instead of on whichever tier ran first.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "scenarios/Scenarios.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,16 +142,20 @@ WorldConfig tierConfig(const TierSpec &Tier) {
   return Config;
 }
 
-/// Median-of-5 ns/crossing for one (tier, op) pair, measured inside a
+constexpr size_t NumTiers = sizeof(Tiers) / sizeof(Tiers[0]);
+constexpr size_t NumOps = sizeof(Ops) / sizeof(Ops[0]);
+constexpr size_t Samples = NumTiers; // one rotation: each tier in each slot
+
+/// Seconds for \p Iters iterations of \p Op in \p World, timed inside a
 /// native frame so every call crosses the interposed boundary exactly the
 /// way client code does.
-double measureNs(ScenarioWorld &World, const OpClass &Op, uint64_t Iters) {
+double sampleSeconds(ScenarioWorld &World, const OpClass &Op,
+                     uint64_t Iters) {
   double Seconds = 0;
   World.runAsNative("BenchCrossing", [&](JNIEnv *Env) {
-    Op.Run(Env, Iters / 4 + 1); // warm-up: ID caches, TLS, allocator
-    Seconds = bench::medianSeconds([&] { Op.Run(Env, Iters); }, 5);
+    Seconds = bench::timeSeconds([&] { Op.Run(Env, Iters); });
   });
-  return Seconds * 1e9 / static_cast<double>(Iters * Op.CrossingsPerIter);
+  return Seconds;
 }
 
 } // namespace
@@ -162,7 +174,8 @@ int main(int Argc, char **Argv) {
 
   bench::JsonResults Json("crossing_latency");
   bench::printHeader("Per-crossing dispatch latency (ns/crossing, "
-                     "median of 5; " +
+                     "median of " + std::to_string(Samples) +
+                     " interleaved samples; " +
                      std::to_string(Iters) + " iterations per sample)");
   std::printf("%-18s", "op class");
   for (const TierSpec &Tier : Tiers)
@@ -170,12 +183,11 @@ int main(int Argc, char **Argv) {
   std::printf("\n");
   bench::printRule();
 
-  // Ns[op][tier]
-  double Ns[sizeof(Ops) / sizeof(Ops[0])][sizeof(Tiers) / sizeof(Tiers[0])];
+  std::vector<std::unique_ptr<ScenarioWorld>> Worlds;
   bool FusedEngaged = true;
-  for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
-    const TierSpec &Tier = Tiers[T];
-    ScenarioWorld World(tierConfig(Tier));
+  for (const TierSpec &Tier : Tiers) {
+    Worlds.push_back(std::make_unique<ScenarioWorld>(tierConfig(Tier)));
+    ScenarioWorld &World = *Worlds.back();
     defineLateClass(World);
     if (Tier.Fused && (!World.Jinn || !World.Jinn->fusedInstalled())) {
       std::fprintf(stderr, "bench_crossing_latency: fused tier refused: %s\n",
@@ -183,16 +195,34 @@ int main(int Argc, char **Argv) {
                               : "no agent");
       FusedEngaged = false;
     }
-    for (size_t O = 0; O < sizeof(Ops) / sizeof(Ops[0]); ++O)
-      Ns[O][T] = measureNs(World, Ops[O], Iters);
-    World.shutdown();
   }
   if (!FusedEngaged)
     return 1;
 
-  for (size_t O = 0; O < sizeof(Ops) / sizeof(Ops[0]); ++O) {
+  // Ns[op][tier]: the median sample in ns/crossing.
+  double Ns[NumOps][NumTiers];
+  for (size_t O = 0; O < NumOps; ++O) {
+    const OpClass &Op = Ops[O];
+    for (auto &World : Worlds) // warm-up: ID caches, TLS, allocator
+      sampleSeconds(*World, Op, Iters / 4 + 1);
+    std::vector<double> Seconds[NumTiers];
+    for (size_t S = 0; S < Samples; ++S)
+      for (size_t K = 0; K < NumTiers; ++K) {
+        size_t T = (S + K) % NumTiers;
+        Seconds[T].push_back(sampleSeconds(*Worlds[T], Op, Iters));
+      }
+    for (size_t T = 0; T < NumTiers; ++T) {
+      std::sort(Seconds[T].begin(), Seconds[T].end());
+      Ns[O][T] = Seconds[T][Samples / 2] * 1e9 /
+                 static_cast<double>(Iters * Op.CrossingsPerIter);
+    }
+  }
+  for (auto &World : Worlds)
+    World->shutdown();
+
+  for (size_t O = 0; O < NumOps; ++O) {
     std::printf("%-18s", Ops[O].Name);
-    for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
+    for (size_t T = 0; T < NumTiers; ++T) {
       std::printf(" %9.1f ns", Ns[O][T]);
       // Absolute ns entries are informational only: single-tier wall
       // times swing several-fold with host load on small runners, so the
@@ -206,16 +236,16 @@ int main(int Argc, char **Argv) {
   bench::printRule();
 
   // Geomean per tier over the op classes, plus the headline ratios.
-  double Gm[sizeof(Tiers) / sizeof(Tiers[0])];
-  for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T) {
+  double Gm[NumTiers];
+  for (size_t T = 0; T < NumTiers; ++T) {
     double Acc = 0;
-    for (size_t O = 0; O < sizeof(Ops) / sizeof(Ops[0]); ++O)
+    for (size_t O = 0; O < NumOps; ++O)
       Acc += std::log(Ns[O][T]);
-    Gm[T] = std::exp(Acc / (sizeof(Ops) / sizeof(Ops[0])));
+    Gm[T] = std::exp(Acc / NumOps);
     Json.add(std::string("geomean/") + Tiers[T].Name + "/ns", Gm[T], "ns");
   }
   std::printf("%-18s", "geomean");
-  for (size_t T = 0; T < sizeof(Tiers) / sizeof(Tiers[0]); ++T)
+  for (size_t T = 0; T < NumTiers; ++T)
     std::printf(" %9.1f ns", Gm[T]);
   std::printf("\n");
 

@@ -45,14 +45,15 @@ std::string MonitorSnapshot::toJson() const {
       ",\"sink\":{\"appended_segments\":%llu,\"appended_events\":%llu,"
       "\"retained_segments\":%llu,\"retained_events\":%llu,"
       "\"retained_bytes\":%llu,\"dropped_segments\":%llu,"
-      "\"dropped_events\":%llu}",
+      "\"dropped_events\":%llu,\"unreadable_segments\":%llu}",
       static_cast<unsigned long long>(Sink.AppendedSegments),
       static_cast<unsigned long long>(Sink.AppendedEvents),
       static_cast<unsigned long long>(Sink.RetainedSegments),
       static_cast<unsigned long long>(Sink.RetainedEvents),
       static_cast<unsigned long long>(Sink.RetainedBytes),
       static_cast<unsigned long long>(Sink.DroppedSegments),
-      static_cast<unsigned long long>(Sink.DroppedEvents));
+      static_cast<unsigned long long>(Sink.DroppedEvents),
+      static_cast<unsigned long long>(Sink.UnreadableSegments));
   Json += ",\"reports_by_machine\":{";
   bool First = true;
   for (const auto &[Machine, Count] : ReportsByMachine) {

@@ -110,7 +110,7 @@ RotatingFileSink::RotatingFileSink(Options Opts) : Opts(std::move(Opts)) {
   std::error_code Ec;
   std::filesystem::create_directories(this->Opts.Directory, Ec);
   if (Ec)
-    WriteError = "create_directories: " + Ec.message();
+    LastError = "create_directories: " + Ec.message();
 }
 
 void RotatingFileSink::append(trace::Trace Segment) {
@@ -151,7 +151,7 @@ void RotatingFileSink::rotateLocked() {
   if (!trace::writeTraceFile(Merged, File.Path, &Err)) {
     // The events in this rotation are lost; count them as dropped rather
     // than pretending the file exists.
-    WriteError = Err;
+    LastError = Err;
     Stats.DroppedSegments += 1;
     Stats.DroppedEvents += File.Events;
     return;
@@ -198,11 +198,32 @@ trace::Trace RotatingFileSink::retained() {
     // is complete at any instant, not just after rotate().
     Parts.assign(Pending.begin(), Pending.end());
   }
+  std::vector<std::pair<std::string, std::string>> Unreadable; // path, why
   for (const std::string &Path : Paths) {
     trace::Trace Part;
     std::string Err;
     if (trace::readTraceFile(Part, Path, &Err))
       Parts.push_back(std::move(Part));
+    else
+      Unreadable.emplace_back(Path, std::move(Err));
+  }
+  if (!Unreadable.empty()) {
+    // A file that cannot be read back cannot be replayed either: report
+    // it and stop retaining it. One pruned since the paths were copied is
+    // not a read error.
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (const auto &[Path, Err] : Unreadable) {
+      auto It =
+          std::find_if(Files.begin(), Files.end(),
+                       [&](const SegmentFile &F) { return F.Path == Path; });
+      if (It == Files.end())
+        continue;
+      Stats.UnreadableSegments += 1;
+      Stats.DroppedEvents += It->Events;
+      LastError = Err;
+      Files.erase(It);
+    }
+    pruneLocked();
   }
   return mergeSegments(std::move(Parts));
 }
@@ -222,5 +243,5 @@ std::vector<std::string> RotatingFileSink::segmentFiles() const {
 
 std::string RotatingFileSink::lastError() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return WriteError;
+  return LastError;
 }

@@ -49,7 +49,10 @@ struct SinkStats {
   uint64_t RetainedEvents = 0;   ///< events currently retained
   uint64_t RetainedBytes = 0;    ///< approximate bytes currently retained
   uint64_t DroppedSegments = 0;  ///< segments rotated out of retention
-  uint64_t DroppedEvents = 0;    ///< events inside those segments
+  uint64_t DroppedEvents = 0;    ///< events inside dropped or unreadable ones
+  /// Segment files that could not be read back (RotatingFileSink): each is
+  /// counted once and leaves retention, but stays on disk for inspection.
+  uint64_t UnreadableSegments = 0;
 };
 
 /// A bounded-memory destination for trace segments.
@@ -126,7 +129,8 @@ public:
   /// Paths of the currently retained segment files, oldest first.
   std::vector<std::string> segmentFiles() const;
 
-  /// Last write error, if any ("" when healthy).
+  /// Last write error, or the trace reader's message for the last segment
+  /// file retained() could not read ("" when healthy).
   std::string lastError() const;
 
 private:
@@ -148,7 +152,7 @@ private:
   std::vector<SegmentFile> Files; ///< oldest first
   uint64_t NextSegment = 0;
   SinkStats Stats;
-  std::string WriteError;
+  std::string LastError;
 };
 
 } // namespace jinn::monitor

@@ -70,10 +70,10 @@ void Trace::rebuildThreadNames() {
 /// thread. NextSeq survives retirement so a recycled buffer keeps strictly
 /// increasing sequence numbers.
 struct TraceRecorder::ThreadBuffer {
-  std::vector<TraceEvent> Ring;
+  EventVector Ring;
   size_t Count = 0; ///< valid events in Ring
   uint64_t NextSeq = 0;
-  std::vector<std::vector<TraceEvent>> Chunks; ///< sealed full rings
+  std::vector<EventVector> Chunks; ///< sealed full rings
 };
 
 namespace {
@@ -152,9 +152,8 @@ void TraceRecorder::noteDrop(uint64_t Events) {
   Vm.diags().setCounter("jinn.trace.dropped_events", Total);
 }
 
-std::vector<TraceEvent>
-TraceRecorder::pushSealedChunk(std::vector<TraceEvent> Chunk) {
-  std::vector<TraceEvent> Recycled;
+EventVector TraceRecorder::pushSealedChunk(EventVector Chunk) {
+  EventVector Recycled;
   uint64_t Evicted = 0;
   {
     std::lock_guard<std::mutex> Lock(QueueMu);
@@ -179,7 +178,7 @@ TraceRecorder::pushSealedChunk(std::vector<TraceEvent> Chunk) {
 
 TraceEvent &TraceRecorder::beginEvent(ThreadBuffer &Buffer, EventKind Kind) {
   if (Buffer.Count == Buffer.Ring.size()) {
-    std::vector<TraceEvent> Fresh;
+    EventVector Fresh;
     if (Opts.StreamChunks) {
       // Streaming: publish the full ring to the recorder-level queue (one
       // short lock per RingCapacity events) and reuse whatever storage the
@@ -189,11 +188,9 @@ TraceEvent &TraceRecorder::beginEvent(ThreadBuffer &Buffer, EventKind Kind) {
     } else {
       // Batch: seal the full ring into a per-thread chunk. When bounded
       // recording drops the oldest chunk, its storage is recycled as the
-      // new ring — steady state then records with no allocation at all,
-      // which is what keeps the record-only mode cheap (a 2+ MB
-      // allocate/zero/free per seal costs page faults and, across threads,
-      // the mmap lock). A thread that never flushes is backstopped by
-      // HardChunkCap even in "unbounded" mode.
+      // new ring, so steady state records with no allocation at all. A
+      // thread that never flushes is backstopped by HardChunkCap even in
+      // "unbounded" mode.
       size_t Cap = Opts.MaxChunksPerThread
                        ? Opts.MaxChunksPerThread
                        : (Opts.HardChunkCap ? Opts.HardChunkCap : 1);
@@ -211,8 +208,8 @@ TraceEvent &TraceRecorder::beginEvent(ThreadBuffer &Buffer, EventKind Kind) {
   }
   TraceEvent &Ev = Buffer.Ring[Buffer.Count++];
   // Clear only the scalar prefixes (TraceEvent's layout contract): the
-  // payload arrays are governed by counts in the prefix, and not touching
-  // them keeps the per-event cost at ~140 bytes of stores instead of 600.
+  // payload arrays are governed by counts in the prefix, and ring storage
+  // is never zero-filled, so slack stays indeterminate until collection.
   std::memset(static_cast<void *>(&Ev), 0, offsetof(TraceEvent, Args));
   std::memset(static_cast<void *>(&Ev.Snap), 0,
               offsetof(jvmti::BoundarySnapshot, Peeks));
@@ -446,12 +443,62 @@ double TraceRecorder::nsPerTick() {
   return CachedNsPerTick;
 }
 
-void TraceRecorder::convertTicks(std::vector<TraceEvent> &Events) {
-  double Factor = nsPerTick();
-  for (TraceEvent &Ev : Events)
-    Ev.TimeNs =
-        static_cast<uint64_t>(static_cast<double>(Ev.TimeNs) * Factor);
+namespace {
+
+/// Copies recorded event \p Src into \p Dst in canonical form (TraceEvent's
+/// layout contract): the scalar prefixes verbatim, since beginEvent()
+/// zeroed them padding included; each array member-wise up to its count;
+/// zero everywhere else, array-element padding included. No byte of
+/// indeterminate recorder storage reaches a trace or a trace file. The
+/// tick stamp becomes nanoseconds through \p NsPerTick.
+void copyCanonical(TraceEvent &Dst, const TraceEvent &Src, double NsPerTick) {
+  constexpr size_t Arrays = offsetof(TraceEvent, Args);
+  constexpr size_t SnapAt = offsetof(TraceEvent, Snap);
+  constexpr size_t SnapArrays =
+      SnapAt + offsetof(jvmti::BoundarySnapshot, Peeks);
+  auto *D = reinterpret_cast<unsigned char *>(&Dst);
+  const auto *S = reinterpret_cast<const unsigned char *>(&Src);
+  std::memcpy(D, S, Arrays);
+  std::memset(D + Arrays, 0, SnapAt - Arrays);
+  std::memcpy(D + SnapAt, S + SnapAt, SnapArrays - SnapAt);
+  std::memset(D + SnapArrays, 0, sizeof(TraceEvent) - SnapArrays);
+
+  Dst.TimeNs =
+      static_cast<uint64_t>(static_cast<double>(Src.TimeNs) * NsPerTick);
+  for (size_t I = 0; I < Src.NumArgs; ++I) {
+    Dst.Args[I].Cls = Src.Args[I].Cls;
+    Dst.Args[I].Word = Src.Args[I].Word;
+    Dst.Args[I].PtrWord = Src.Args[I].PtrWord;
+  }
+  std::copy_n(Src.NativeArgs, Src.NumNativeArgs, Dst.NativeArgs);
+  if (Src.Kind == EventKind::NativeExit && Src.HasReturn)
+    Dst.NativeRet = Src.NativeRet;
+  if (Src.Kind == EventKind::ThreadAttach)
+    std::memcpy(Dst.Name, Src.Name,
+                strnlen(Src.Name, TraceEvent::MaxNameLen));
+  for (size_t I = 0; I < Src.Snap.NumPeeks; ++I) {
+    const jvmti::PeekFact &From = Src.Snap.Peeks[I];
+    jvmti::PeekFact &To = Dst.Snap.Peeks[I];
+    To.Word = From.Word;
+    To.Target = From.Target;
+    To.Status = From.Status;
+    To.Kind = From.Kind;
+    To.OwnerThread = From.OwnerThread;
+  }
+  std::copy_n(Src.Snap.CallArgs, Src.Snap.NumCallArgs, Dst.Snap.CallArgs);
 }
+
+/// Appends the first \p Count events of recorder storage \p Part to
+/// \p Out in canonical form: the one way events leave the recorder.
+void appendCanonical(EventVector &Out, const EventVector &Part, size_t Count,
+                     double NsPerTick) {
+  size_t At = Out.size();
+  Out.resize(At + Count);
+  for (size_t I = 0; I < Count; ++I)
+    copyCanonical(Out[At + I], Part[I], NsPerTick);
+}
+
+} // namespace
 
 void TraceRecorder::finalizeOrder(Trace &Out) {
   std::sort(Out.Events.begin(), Out.Events.end(),
@@ -468,16 +515,22 @@ void TraceRecorder::finalizeOrder(Trace &Out) {
 }
 
 Trace TraceRecorder::collect() {
+  const double Factor = nsPerTick();
   Trace Out;
   Out.Head.NativeFrameCapacity = Vm.options().NativeFrameCapacity;
   {
     std::lock_guard<std::mutex> Lock(RegistryMu);
+    size_t Total = 0;
     for (const std::unique_ptr<ThreadBuffer> &Buffer : Buffers) {
-      for (const std::vector<TraceEvent> &Chunk : Buffer->Chunks)
-        Out.Events.insert(Out.Events.end(), Chunk.begin(), Chunk.end());
-      Out.Events.insert(Out.Events.end(), Buffer->Ring.begin(),
-                        Buffer->Ring.begin() +
-                            static_cast<ptrdiff_t>(Buffer->Count));
+      for (const EventVector &Chunk : Buffer->Chunks)
+        Total += Chunk.size();
+      Total += Buffer->Count;
+    }
+    Out.Events.reserve(Total);
+    for (const std::unique_ptr<ThreadBuffer> &Buffer : Buffers) {
+      for (const EventVector &Chunk : Buffer->Chunks)
+        appendCanonical(Out.Events, Chunk, Chunk.size(), Factor);
+      appendCanonical(Out.Events, Buffer->Ring, Buffer->Count, Factor);
     }
   }
   {
@@ -486,19 +539,23 @@ Trace TraceRecorder::collect() {
     // "drain then collect" harvest sees each event exactly once and a
     // collect() without drains still sees everything.
     std::lock_guard<std::mutex> Lock(QueueMu);
-    for (const std::vector<TraceEvent> &Chunk : SealedQueue)
-      Out.Events.insert(Out.Events.end(), Chunk.begin(), Chunk.end());
+    size_t Queued = 0;
+    for (const EventVector &Chunk : SealedQueue)
+      Queued += Chunk.size();
+    Out.Events.reserve(Out.Events.size() + Queued);
+    for (const EventVector &Chunk : SealedQueue)
+      appendCanonical(Out.Events, Chunk, Chunk.size(), Factor);
   }
   Out.Head.DroppedEvents = DroppedTotal.load(std::memory_order_relaxed);
-  convertTicks(Out.Events);
   finalizeOrder(Out);
   return Out;
 }
 
 Trace TraceRecorder::drainSealed() {
+  const double Factor = nsPerTick();
   Trace Out;
   Out.Head.NativeFrameCapacity = Vm.options().NativeFrameCapacity;
-  std::deque<std::vector<TraceEvent>> Popped;
+  std::deque<EventVector> Popped;
   {
     std::lock_guard<std::mutex> Lock(QueueMu);
     Popped.swap(SealedQueue);
@@ -507,20 +564,19 @@ Trace TraceRecorder::drainSealed() {
     DrainReportedDropped = Total;
   }
   size_t TotalEvents = 0;
-  for (const std::vector<TraceEvent> &Chunk : Popped)
+  for (const EventVector &Chunk : Popped)
     TotalEvents += Chunk.size();
   Out.Events.reserve(TotalEvents);
-  for (std::vector<TraceEvent> &Chunk : Popped)
-    Out.Events.insert(Out.Events.end(), Chunk.begin(), Chunk.end());
+  for (const EventVector &Chunk : Popped)
+    appendCanonical(Out.Events, Chunk, Chunk.size(), Factor);
   {
     // Return the drained storage to the recycle pool; sealing threads pick
     // it up instead of allocating fresh rings.
     std::lock_guard<std::mutex> Lock(QueueMu);
-    for (std::vector<TraceEvent> &Chunk : Popped)
+    for (EventVector &Chunk : Popped)
       if (FreeChunks.size() < Opts.MaxQueuedChunks)
         FreeChunks.push_back(std::move(Chunk));
   }
-  convertTicks(Out.Events);
   finalizeOrder(Out);
   return Out;
 }
@@ -544,7 +600,7 @@ void TraceRecorder::retireLocalBuffer() {
     return;
   // Everything the thread buffered moves to the recorder-level queue: the
   // batch-mode chunks and the partial ring (trimmed to its live prefix).
-  for (std::vector<TraceEvent> &Chunk : Owned->Chunks)
+  for (EventVector &Chunk : Owned->Chunks)
     pushSealedChunk(std::move(Chunk));
   Owned->Chunks.clear();
   if (Owned->Count) {

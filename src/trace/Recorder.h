@@ -108,12 +108,14 @@ public:
   /// and assigns the global epoch: events sort by (TimeNs, ThreadId, Seq)
   /// — a deterministic total order that follows real time and breaks clock
   /// ties stably — and the merged index becomes the epoch. Non-destructive
-  /// (events are copied); recording may continue after. Caller must ensure
-  /// other recording threads are quiesced.
+  /// (events are copied, with zero slack past every count); recording may
+  /// continue after. Caller must ensure other recording threads are
+  /// quiesced.
   Trace collect();
 
   /// Streaming harvest: destructively pops every chunk currently in the
-  /// sealed queue and returns them as one merged, epoch-ordered segment.
+  /// sealed queue and returns them as one merged, epoch-ordered segment,
+  /// copied with zero slack like collect().
   /// Safe to call concurrently with recording threads (this is the
   /// monitor's tick path). The segment header's DroppedEvents carries the
   /// drops since the previous drain.
@@ -148,13 +150,12 @@ private:
   /// enforcing MaxQueuedChunks. Returns recycled storage for the caller's
   /// next ring when the bound evicted a chunk. Caller must not hold
   /// QueueMu.
-  std::vector<TraceEvent> pushSealedChunk(std::vector<TraceEvent> Chunk);
+  EventVector pushSealedChunk(EventVector Chunk);
   /// Tick-to-nanosecond factor, calibrated once against the monotonic
   /// clock and cached so every segment of one recording uses the same
   /// monotonic scaling (per-drain factors could reorder events across
   /// segments).
   double nsPerTick();
-  void convertTicks(std::vector<TraceEvent> &Events);
   static void finalizeOrder(Trace &Out);
   void noteDrop(uint64_t Events);
 
@@ -175,8 +176,8 @@ private:
   /// Sealed chunks not owned by any live thread buffer: the streaming
   /// queue (StreamChunks) plus everything retired threads left behind.
   std::mutex QueueMu;
-  std::deque<std::vector<TraceEvent>> SealedQueue;
-  std::vector<std::vector<TraceEvent>> FreeChunks; ///< recycled storage
+  std::deque<EventVector> SealedQueue;
+  std::vector<EventVector> FreeChunks; ///< recycled storage
   uint64_t QueueDropped = 0;   ///< events evicted from the queue
   uint64_t RetiredDropped = 0; ///< drops carried over from retired buffers
   uint64_t DrainReportedDropped = 0; ///< drops already reported by drains

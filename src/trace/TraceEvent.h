@@ -21,9 +21,13 @@
 
 #include "jvmti/Interpose.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace jinn::trace {
@@ -58,9 +62,15 @@ struct ArgRecord {
 ///
 /// Layout contract: every scalar comes before the payload arrays, and each
 /// array's valid extent is governed by a count/flag in that scalar prefix
-/// (NumArgs, NumNativeArgs, HasReturn, Kind for Name). The recorder's hot
-/// path clears only the prefix — slack bytes in the arrays of a recorded
-/// event are indeterminate and must never be read past their counts.
+/// (NumArgs, NumNativeArgs, Kind and HasReturn for NativeRet, Kind for
+/// Name, Snap.NumPeeks, Snap.NumCallArgs). Where slack past a count holds:
+///  - in the recorder's own storage (rings and sealed chunks) it is
+///    indeterminate: that storage is never zero-filled and the hot path
+///    clears only the scalar prefixes, so it must never be read;
+///  - in every Trace that leaves the recorder (collect(), drainSealed()),
+///    and so in every trace file and every trace read back from one, it is
+///    zero: those copies take each array up to its count and zero the
+///    rest, padding included.
 struct TraceEvent {
   static constexpr size_t MaxArgs = 5;       ///< JNI functions take <= 5
   static constexpr size_t MaxNativeArgs = 8; ///< native formals kept per event
@@ -94,6 +104,38 @@ struct TraceEvent {
   jvmti::BoundarySnapshot Snap; ///< frozen VM observations
 };
 
+/// Allocator for trace-event storage that is written before it is read:
+/// constructing an element without arguments (resize(), the sized
+/// constructor) leaves its bytes indeterminate instead of zero-filling
+/// 592 bytes an event. TraceEvent is a trivially copyable aggregate, so
+/// the allocated storage already holds its objects; copies construct as
+/// usual. To grow an EventVector by zeroed events, pass the value:
+/// resize(N, TraceEvent{}).
+template <typename T> struct UninitAllocator {
+  using value_type = T;
+
+  UninitAllocator() = default;
+  template <typename U> UninitAllocator(const UninitAllocator<U> &) noexcept {}
+
+  T *allocate(size_t N) { return std::allocator<T>().allocate(N); }
+  void deallocate(T *P, size_t N) noexcept {
+    std::allocator<T>().deallocate(P, N);
+  }
+  template <typename U> void construct(U *) noexcept {
+    static_assert(std::is_trivially_copyable_v<U> && std::is_aggregate_v<U>,
+                  "only implicit-lifetime records may skip construction");
+  }
+  template <typename U, typename... Args>
+  void construct(U *P, Args &&...A) {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+  }
+
+  friend bool operator==(UninitAllocator, UninitAllocator) { return true; }
+};
+
+/// Trace-event storage: the recorder's rings and chunks and Trace::Events.
+using EventVector = std::vector<TraceEvent, UninitAllocator<TraceEvent>>;
+
 /// A complete recording: header facts, epoch-ordered events, and the
 /// thread-name table rebuilt from attach events.
 struct Trace {
@@ -104,7 +146,7 @@ struct Trace {
   };
 
   Header Head;
-  std::vector<TraceEvent> Events; ///< in Epoch order
+  EventVector Events; ///< in Epoch order
   std::unordered_map<uint32_t, std::string> ThreadNames;
 
   /// Name of thread \p Id from the attach table ("thread-<id>" fallback).

@@ -201,11 +201,15 @@ bool jinn::trace::readTraceFile(Trace &Out, const std::string &Path,
     Out.ThreadNames[Entry.Id] = Entry.Name;
   }
 
+  // Uninitialized storage (EventVector): fread writes every byte, and a
+  // short read discards the partly filled trace.
   Out.Events.resize(Header.EventCount);
   if (Header.EventCount &&
       std::fread(Out.Events.data(), sizeof(TraceEvent), Header.EventCount,
-                 File.get()) != Header.EventCount)
+                 File.get()) != Header.EventCount) {
+    Out = Trace();
     return fail(Err, "truncated event stream in " + Path);
+  }
   std::optional<uint32_t> LastThread; // checked already; events come in runs
   for (size_t I = 0; I < Out.Events.size(); ++I) {
     const TraceEvent &Ev = Out.Events[I];

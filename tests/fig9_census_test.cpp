@@ -126,11 +126,14 @@ TEST(Coverage, MatchesThePaperQualitatively) {
       continue;
     ++Total;
     Outcome OHs = runMicroToOutcome(
-        Info.Id, {jvm::VmFlavor::HotSpotLike, CheckerKind::Xcheck, false, {}, {}});
+        Info.Id,
+        {jvm::VmFlavor::HotSpotLike, CheckerKind::Xcheck, false, {}, {}, {}});
     Outcome OJ9 = runMicroToOutcome(
-        Info.Id, {jvm::VmFlavor::J9Like, CheckerKind::Xcheck, false, {}, {}});
+        Info.Id,
+        {jvm::VmFlavor::J9Like, CheckerKind::Xcheck, false, {}, {}, {}});
     Outcome OJn = runMicroToOutcome(
-        Info.Id, {jvm::VmFlavor::HotSpotLike, CheckerKind::Jinn, false, {}, {}});
+        Info.Id,
+        {jvm::VmFlavor::HotSpotLike, CheckerKind::Jinn, false, {}, {}, {}});
     Hs += isValidBugReport(OHs);
     J9 += isValidBugReport(OJ9);
     Jn += isValidBugReport(OJn);

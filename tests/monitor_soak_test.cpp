@@ -15,7 +15,9 @@
 /// reporter buffers retire at detach, queue overflow surfaces in the
 /// jinn.trace.dropped_events diagnostics counter, and RSS stays under the
 /// soak ceiling; (4) the sink implementations retain, rotate, and prune as
-/// configured. Meant to run clean under -fsanitize=thread (JINN_TSAN).
+/// configured, and a segment file that no longer reads back is reported,
+/// not silently dropped. Meant to run clean under -fsanitize=thread
+/// (JINN_TSAN).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -102,6 +104,20 @@ bool includedIn(const std::vector<agent::JinnReport> &Sub,
   return true;
 }
 
+/// Segment \p I of a synthetic recording: \p N zeroed GC events of thread
+/// 1 stamped I*100, I*100+1, ...
+trace::Trace gcSegment(uint64_t I, size_t N) {
+  trace::Trace Seg;
+  Seg.Events.resize(N, trace::TraceEvent{});
+  for (size_t E = 0; E < N; ++E) {
+    Seg.Events[E].TimeNs = I * 100 + E;
+    Seg.Events[E].ThreadId = 1;
+    Seg.Events[E].Seq = I * 100 + E;
+    Seg.Events[E].Kind = trace::EventKind::GcEpoch;
+  }
+  return Seg;
+}
+
 } // namespace
 
 // Same seed, same 1-worker request schedule => byte-identical sampled
@@ -146,7 +162,7 @@ TEST(MonitorSoak, SampledReportsReplayFromRetainedTrace) {
   SinkOpts.MaxBytes = 1ull << 32;
   monitor::RingSink Sink(SinkOpts);
   monitor::JinnMonitor Monitor(World.Vm, *World.Jinn, Sink,
-                               {/*IntervalMs=*/5});
+                               {.IntervalMs = 5, .SnapshotPath = {}});
   Monitor.start();
   SoakOptions Opts = smallSoak();
   Opts.Requests = 192;
@@ -187,7 +203,7 @@ TEST(MonitorSoak, DetachRetiresPerThreadBuffers) {
   ScenarioWorld World(sampledConfig(16));
   monitor::RingSink Sink;
   monitor::JinnMonitor Monitor(World.Vm, *World.Jinn, Sink,
-                               {/*IntervalMs=*/5});
+                               {.IntervalMs = 5, .SnapshotPath = {}});
   Monitor.start();
   SoakOptions Opts = smallSoak();
   Opts.Requests = 256;
@@ -257,15 +273,7 @@ TEST(MonitorSoak, RingSinkEvictsOldest) {
   Opts.MaxSegments = 3;
   monitor::RingSink Sink(Opts);
   for (uint64_t I = 0; I < 6; ++I) {
-    trace::Trace Seg;
-    Seg.Events.resize(4);
-    for (size_t E = 0; E < Seg.Events.size(); ++E) {
-      Seg.Events[E].TimeNs = I * 100 + E;
-      Seg.Events[E].ThreadId = 1;
-      Seg.Events[E].Seq = I * 100 + E;
-      Seg.Events[E].Kind = trace::EventKind::GcEpoch;
-    }
-    Sink.append(std::move(Seg));
+    Sink.append(gcSegment(I, 4));
   }
   monitor::SinkStats Stats = Sink.stats();
   EXPECT_EQ(Stats.AppendedSegments, 6u);
@@ -296,15 +304,7 @@ TEST(MonitorSoak, RotatingFileSinkRotatesAndPrunes) {
   Opts.MaxSegments = 2;
   monitor::RotatingFileSink Sink(Opts);
   for (uint64_t I = 0; I < 5; ++I) {
-    trace::Trace Seg;
-    Seg.Events.resize(8);
-    for (size_t E = 0; E < Seg.Events.size(); ++E) {
-      Seg.Events[E].TimeNs = I * 100 + E;
-      Seg.Events[E].ThreadId = 1;
-      Seg.Events[E].Seq = I * 100 + E;
-      Seg.Events[E].Kind = trace::EventKind::GcEpoch;
-    }
-    Sink.append(std::move(Seg));
+    Sink.append(gcSegment(I, 8));
   }
   EXPECT_EQ(Sink.lastError(), "");
   EXPECT_LE(Sink.segmentFiles().size(), 2u);
@@ -316,6 +316,41 @@ TEST(MonitorSoak, RotatingFileSinkRotatesAndPrunes) {
   EXPECT_LE(Merged.Events.size(), 16u + 8u); // 2 files + <=1 pending rotation
   for (size_t E = 0; E + 1 < Merged.Events.size(); ++E)
     EXPECT_LE(Merged.Events[E].TimeNs, Merged.Events[E + 1].TimeNs);
+  std::filesystem::remove_all(Dir);
+}
+
+// A segment file that no longer reads back is counted once, keeps the
+// reader's message, and leaves retention; the other segments still merge.
+TEST(MonitorSoak, RotatingFileSinkReportsAnUnreadableSegment) {
+  const std::string Dir =
+      "monitor_soak_test_unreadable." + std::to_string(::getpid());
+  std::filesystem::remove_all(Dir);
+  monitor::RotatingFileSink::Options Opts;
+  Opts.Directory = Dir;
+  Opts.RotateBytes = sizeof(trace::TraceEvent) * 8; // one file a segment
+  Opts.MaxSegments = 3;
+  monitor::RotatingFileSink Sink(Opts);
+  for (uint64_t I = 0; I < 3; ++I)
+    Sink.append(gcSegment(I, 8));
+  const std::vector<std::string> Files = Sink.segmentFiles();
+  ASSERT_EQ(Files.size(), 3u);
+  std::filesystem::resize_file(Files[1],
+                               std::filesystem::file_size(Files[1]) - 1);
+
+  trace::Trace Merged = Sink.retained();
+  monitor::SinkStats Stats = Sink.stats();
+  EXPECT_EQ(Stats.UnreadableSegments, 1u);
+  EXPECT_EQ(Sink.lastError(), "header counts exceed the size of " + Files[1]);
+  EXPECT_EQ(Sink.segmentFiles(),
+            (std::vector<std::string>{Files[0], Files[2]}));
+  ASSERT_EQ(Merged.Events.size(), 16u);
+  EXPECT_EQ(Stats.RetainedEvents, 16u);
+  for (size_t E = 0; E < 8; ++E) {
+    EXPECT_EQ(Merged.Events[E].TimeNs, E);
+    EXPECT_EQ(Merged.Events[8 + E].TimeNs, 200 + E);
+  }
+  Sink.retained();
+  EXPECT_EQ(Sink.stats().UnreadableSegments, 1u);
   std::filesystem::remove_all(Dir);
 }
 

@@ -10,17 +10,20 @@
 /// through the binary trace file — reproduces the inline checker's report
 /// list byte-for-byte, for every microbenchmark and for the concurrent
 /// workload driver. Also covers record-only traces (replay is the only
-/// checker), the file format's rejection of corrupt input, and the
-/// Chrome-trace and counters exporters. Meant to run clean under
-/// -fsanitize=thread (configure with -DJINN_TSAN=ON).
+/// checker), zero slack in every trace that leaves the recorder, the file
+/// format's rejection of corrupt input, and the Chrome-trace and counters
+/// exporters. Meant to run clean under -fsanitize=thread (configure with
+/// -DJINN_TSAN=ON).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "TestHarness.h"
 #include "scenarios/Scenarios.h"
+#include "support/Format.h"
 #include "trace/Export.h"
 #include "trace/Replay.h"
 #include "trace/TraceFile.h"
+#include "workloads/ServerSoak.h"
 #include "workloads/Workloads.h"
 
 #include <algorithm>
@@ -29,6 +32,8 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <string>
 #include <tuple>
 
 using namespace jinn;
@@ -187,13 +192,154 @@ TEST(TraceFileFormat, RoundTripPreservesEverything) {
   EXPECT_EQ(Recorded.Head.DroppedEvents, FromDisk.Head.DroppedEvents);
   EXPECT_EQ(Recorded.ThreadNames, FromDisk.ThreadNames);
   ASSERT_EQ(Recorded.Events.size(), FromDisk.Events.size());
-  // Records are written verbatim, so even the indeterminate slack bytes
-  // past each array's count survive — memcmp is exact.
+  // Records are written verbatim, so every byte survives, the zeroed slack
+  // past each array's count included: memcmp is exact.
   for (size_t I = 0; I < Recorded.Events.size(); ++I)
     EXPECT_EQ(std::memcmp(&Recorded.Events[I], &FromDisk.Events[I],
                           sizeof(trace::TraceEvent)),
               0)
         << "event " << I;
+}
+
+/// The first byte range of \p Ev that TraceEvent's layout contract leaves
+/// outside every valid extent (past a count, or padding) and that is not
+/// all zero, as "field: bytes [from, to)"; "" when there is none.
+std::string nonzeroSlack(const trace::TraceEvent &Ev) {
+  using trace::ArgRecord;
+  using trace::TraceEvent;
+  using jvmti::BoundarySnapshot;
+  using jvmti::PeekFact;
+  const auto *Bytes = reinterpret_cast<const unsigned char *>(&Ev);
+  std::string Where;
+  auto Zero = [&](const char *Field, size_t From, size_t To) {
+    if (Where.empty() && std::any_of(Bytes + From, Bytes + To,
+                                     [](unsigned char B) { return B != 0; }))
+      Where = formatString("%s: bytes [%zu, %zu)", Field, From, To);
+  };
+  Zero("prefix padding", offsetof(TraceEvent, NumNativeArgs) + 1,
+       offsetof(TraceEvent, RetWord));
+  for (size_t I = 0; I < TraceEvent::MaxArgs; ++I) {
+    const size_t At = offsetof(TraceEvent, Args) + I * sizeof(ArgRecord);
+    if (I < Ev.NumArgs)
+      Zero("Args padding", At + 1, At + offsetof(ArgRecord, Word));
+    else
+      Zero("Args", At, At + sizeof(ArgRecord));
+  }
+  Zero("NativeArgs",
+       offsetof(TraceEvent, NativeArgs) + Ev.NumNativeArgs * sizeof(jvalue),
+       offsetof(TraceEvent, NativeRet));
+  if (Ev.Kind != trace::EventKind::NativeExit || !Ev.HasReturn)
+    Zero("NativeRet", offsetof(TraceEvent, NativeRet),
+         offsetof(TraceEvent, Name));
+  Zero("Name",
+       offsetof(TraceEvent, Name) +
+           (Ev.Kind == trace::EventKind::ThreadAttach ? std::strlen(Ev.Name)
+                                                      : 0),
+       offsetof(TraceEvent, Snap));
+  const size_t Snap = offsetof(TraceEvent, Snap);
+  Zero("snapshot padding", Snap + offsetof(BoundarySnapshot, HasCallArgs) + 1,
+       Snap + offsetof(BoundarySnapshot, BufferTarget));
+  for (size_t I = 0; I < BoundarySnapshot::MaxPeeks; ++I) {
+    const size_t At =
+        Snap + offsetof(BoundarySnapshot, Peeks) + I * sizeof(PeekFact);
+    if (I < Ev.Snap.NumPeeks)
+      Zero("Peeks padding", At + offsetof(PeekFact, Kind) + 1,
+           At + offsetof(PeekFact, OwnerThread));
+    else
+      Zero("Peeks", At, At + sizeof(PeekFact));
+  }
+  Zero("CallArgs",
+       Snap + offsetof(BoundarySnapshot, CallArgs) +
+           Ev.Snap.NumCallArgs * sizeof(jvalue),
+       Snap + sizeof(BoundarySnapshot));
+  Zero("tail padding", Snap + sizeof(BoundarySnapshot), sizeof(TraceEvent));
+  return Where;
+}
+
+void expectZeroSlack(const trace::Trace &T, const char *Label) {
+  EXPECT_GT(T.Events.size(), 0u) << Label;
+  for (size_t I = 0; I < T.Events.size(); ++I) {
+    std::string Where = nonzeroSlack(T.Events[I]);
+    if (!Where.empty()) {
+      ADD_FAILURE() << Label << " event " << I << " ("
+                    << trace::eventKindName(T.Events[I].Kind)
+                    << "): nonzero slack in " << Where;
+      return;
+    }
+  }
+}
+
+/// Frees heap blocks the size of a \p Events-event ring filled with 0xA5,
+/// so recorder storage that is not zero-filled likely starts out dirty.
+void dirtyHeap(size_t Events) {
+  const size_t Size = Events * sizeof(trace::TraceEvent);
+  std::vector<std::unique_ptr<unsigned char[]>> Blocks;
+  for (int I = 0; I < 16; ++I) {
+    Blocks.emplace_back(new unsigned char[Size]);
+    volatile unsigned char *Block = Blocks.back().get();
+    for (size_t B = 0; B < Size; ++B)
+      Block[B] = 0xA5;
+  }
+}
+
+// Traces leaving the recorder (collect(), drainSealed()) carry zero slack
+// past every count, whichever storage held the events: batch rings and
+// chunks, a bounded recording's recycled chunk, streaming rings recycled
+// from drained chunks, and retired threads' partial rings.
+TEST(TraceFileFormat, CollectedAndDrainedSlackIsZero) {
+  const workloads::WorkloadInfo &Db = *workloads::workloadByName("db");
+  {
+    WorldConfig Config = recordingConfig(agent::TraceMode::RecordOnly);
+    Config.JinnRecorder.RingCapacity = 16;
+    dirtyHeap(16);
+    ScenarioWorld World(Config);
+    workloads::prepareWorkloadWorld(World);
+    workloads::runWorkload(Db, World, /*ScaleDivisor=*/4096);
+    World.shutdown();
+    expectZeroSlack(World.Jinn->recorder()->collect(), "batch");
+  }
+  {
+    WorldConfig Config = recordingConfig(agent::TraceMode::RecordOnly);
+    Config.JinnRecorder.RingCapacity = 8;
+    Config.JinnRecorder.MaxChunksPerThread = 2;
+    ScenarioWorld World(Config);
+    workloads::prepareWorkloadWorld(World);
+    workloads::runWorkload(Db, World, /*ScaleDivisor=*/4096);
+    World.shutdown();
+    trace::Trace Bounded = World.Jinn->recorder()->collect();
+    EXPECT_GT(Bounded.Head.DroppedEvents, 0u);
+    expectZeroSlack(Bounded, "bounded");
+  }
+  {
+    WorldConfig Config = recordingConfig(agent::TraceMode::RecordOnly);
+    Config.JinnRecorder.RingCapacity = 8;
+    Config.JinnRecorder.StreamChunks = true;
+    Config.JinnRecorder.MaxQueuedChunks = 4096;
+    ScenarioWorld World(Config);
+    workloads::prepareWorkloadWorld(World);
+    trace::TraceRecorder &Recorder = *World.Jinn->recorder();
+    workloads::runWorkload(Db, World, /*ScaleDivisor=*/4096);
+    expectZeroSlack(Recorder.drainSealed(), "first drain");
+    // The drained chunks are the free pool the next rings come from.
+    workloads::runWorkload(Db, World, /*ScaleDivisor=*/4096);
+    expectZeroSlack(Recorder.drainSealed(), "second drain");
+    World.shutdown();
+    EXPECT_EQ(Recorder.droppedEvents(), 0u);
+    expectZeroSlack(Recorder.collect(), "streaming collect");
+  }
+  {
+    dirtyHeap(trace::TraceRecorderOptions().RingCapacity);
+    ScenarioWorld World(recordingConfig(agent::TraceMode::RecordOnly));
+    workloads::SoakOptions Opts;
+    Opts.Workers = 2;
+    Opts.Requests = 16;
+    Opts.OpsPerRequest = 12;
+    workloads::runServerSoak(World, Opts);
+    // Every request thread retired its partial ring into the queue.
+    EXPECT_LE(World.Jinn->recorder()->liveThreadBuffers(), 1u);
+    World.shutdown();
+    expectZeroSlack(World.Jinn->recorder()->collect(), "retired threads");
+  }
 }
 
 TEST(TraceFileFormat, RejectsCorruptMagic) {
