@@ -24,15 +24,6 @@ NativeBindObserver::~NativeBindObserver() = default;
 
 namespace {
 
-/// Which VM thread the calling OS thread stands for, per runtime. The epoch
-/// (a never-reused runtime id) invalidates entries left behind by destroyed
-/// runtimes whose heap address got recycled.
-struct CurrentEntry {
-  const JniRuntime *Rt = nullptr;
-  uint64_t Epoch = 0;
-  jvm::JThread *Thread = nullptr;
-};
-
 thread_local std::vector<CurrentEntry> CurrentEntries;
 
 std::atomic<uint64_t> NextRuntimeEpoch{1};
@@ -44,13 +35,6 @@ std::atomic<uint64_t> NextRuntimeEpoch{1};
 /// short-lived runtimes then keeps O(1) lookups instead of scanning every
 /// runtime it ever served.
 constexpr size_t MaxCurrentEntries = 16;
-
-/// A copy of the front entry. Every JNI crossing resolves the current
-/// thread (the wrong-thread check, and the JNIEnv-state machine under
-/// Jinn), so the common case — the same runtime as last time — is one
-/// compare against this copy. It is trivially destructible, so reading it
-/// needs no thread-local initialization guard.
-thread_local CurrentEntry FrontCurrent;
 
 /// Moves the entry for (\p Rt, \p Epoch) to the front and returns it, or
 /// returns null when this OS thread has none.
@@ -68,9 +52,9 @@ CurrentEntry *promoteCurrentEntry(const JniRuntime *Rt, uint64_t Epoch) {
 
 } // namespace
 
-jvm::JThread *JniRuntime::currentThread() const {
-  if (FrontCurrent.Rt == this && FrontCurrent.Epoch == RtEpoch)
-    return FrontCurrent.Thread;
+constinit thread_local CurrentEntry jinn::jni::FrontCurrent;
+
+jvm::JThread *JniRuntime::currentThreadSlow() const {
   if (const CurrentEntry *Entry = promoteCurrentEntry(this, RtEpoch))
     return Entry->Thread;
   return nullptr;

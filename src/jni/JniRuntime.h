@@ -49,6 +49,25 @@ public:
                                   JniNativeStdFn &Bound) = 0;
 };
 
+class JniRuntime;
+
+/// Which VM thread the calling OS thread stands for in one runtime. The
+/// epoch (a never-reused runtime id) invalidates entries left behind by
+/// destroyed runtimes whose heap address got recycled.
+struct CurrentEntry {
+  const JniRuntime *Rt = nullptr;
+  uint64_t Epoch = 0;
+  jvm::JThread *Thread = nullptr;
+};
+
+/// A copy of the front of the calling OS thread's current-thread registry
+/// (JniRuntime.cpp). Every JNI crossing resolves the current thread (the
+/// wrong-thread check, the JNIEnv-state machine, the trace recorder), so
+/// the common case — the same runtime as last time — is one inline compare
+/// against this copy. constinit and trivially destructible: reading it
+/// needs no thread-local initialization guard, in any translation unit.
+extern constinit thread_local CurrentEntry FrontCurrent;
+
 /// A buffer handed to C code by Get<T>ArrayElements / GetString*Chars /
 /// Get*Critical. The runtime tracks it until the matching release.
 struct BufferRecord {
@@ -98,7 +117,11 @@ public:
   /// so distinct OS threads each see their own binding (true multi-threaded
   /// execution); an epoch check guards against a destroyed runtime's
   /// address being reused.
-  jvm::JThread *currentThread() const;
+  jvm::JThread *currentThread() const {
+    if (FrontCurrent.Rt == this && FrontCurrent.Epoch == RtEpoch) [[likely]]
+      return FrontCurrent.Thread;
+    return currentThreadSlow();
+  }
   void setCurrentThread(jvm::JThread *Thread);
 
   /// RAII current-thread switch used around native dispatch.
@@ -170,6 +193,9 @@ private:
   /// Unique id of this runtime instance for the thread-local current-thread
   /// registry (never reused, unlike `this`).
   const uint64_t RtEpoch;
+  /// currentThread() when the front entry is another runtime's: promotes
+  /// this runtime's entry, if the OS thread has one.
+  jvm::JThread *currentThreadSlow() const;
 
   mutable std::mutex EnvsMutex; ///< Envs, JThread::EnvPtr publication
   std::vector<std::unique_ptr<JNIEnv_>> Envs;

@@ -28,29 +28,21 @@ trace::Trace monitor::mergeSegments(std::vector<trace::Trace> Segments) {
   size_t Total = 0;
   for (const trace::Trace &Seg : Segments)
     Total += Seg.Events.size();
-  Out.Events.reserve(Total);
-  for (trace::Trace &Seg : Segments) {
+  std::vector<trace::MergeKey> Keys;
+  Keys.reserve(Total);
+  for (const trace::Trace &Seg : Segments) {
     Out.Head.Version = Seg.Head.Version;
     Out.Head.NativeFrameCapacity = Seg.Head.NativeFrameCapacity;
     Out.Head.DroppedEvents += Seg.Head.DroppedEvents;
-    Out.Events.insert(Out.Events.end(),
-                      std::make_move_iterator(Seg.Events.begin()),
-                      std::make_move_iterator(Seg.Events.end()));
+    for (const trace::TraceEvent &Ev : Seg.Events)
+      Keys.push_back({Ev.TimeNs, Ev.Seq, Ev.ThreadId, 0, &Ev});
   }
-  // Same order collect() establishes: real time, thread, per-thread
-  // sequence. All segments share one tick calibration, so concatenating
-  // and re-sorting cannot invert any per-thread order.
-  std::sort(Out.Events.begin(), Out.Events.end(),
-            [](const trace::TraceEvent &A, const trace::TraceEvent &B) {
-              if (A.TimeNs != B.TimeNs)
-                return A.TimeNs < B.TimeNs;
-              if (A.ThreadId != B.ThreadId)
-                return A.ThreadId < B.ThreadId;
-              return A.Seq < B.Seq;
-            });
-  for (size_t I = 0; I < Out.Events.size(); ++I)
-    Out.Events[I].Epoch = I;
-  Out.rebuildThreadNames();
+  // The order collect() establishes. All segments share one tick
+  // calibration, so merging them cannot invert any per-thread order.
+  trace::placeInMergeOrder(
+      Keys, Out, [](trace::TraceEvent &Ev, const void *Source) {
+        Ev = *static_cast<const trace::TraceEvent *>(Source);
+      });
   return Out;
 }
 

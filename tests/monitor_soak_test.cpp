@@ -13,11 +13,12 @@
 /// replay: every inline report of a sampled run is reproduced by replaying
 /// the sink's retained trace; (3) bounded memory — per-thread recorder and
 /// reporter buffers retire at detach, queue overflow surfaces in the
-/// jinn.trace.dropped_events diagnostics counter, and RSS stays under the
-/// soak ceiling; (4) the sink implementations retain, rotate, and prune as
-/// configured, and a segment file that no longer reads back is reported,
-/// not silently dropped. Meant to run clean under -fsanitize=thread
-/// (JINN_TSAN).
+/// jinn.trace.dropped_events diagnostics counter, retired partial chunks
+/// are queued trimmed, and RSS stays under the soak ceiling; (4) the sink
+/// implementations retain, rotate, and prune as configured, a segment file
+/// that no longer reads back is reported, not silently dropped, and sinks
+/// merge segments in the recorder's order. Meant to run clean under
+/// -fsanitize=thread (JINN_TSAN).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +26,7 @@
 #include "monitor/Monitor.h"
 #include "monitor/TraceSink.h"
 #include "support/Resource.h"
+#include "trace/Recorder.h"
 #include "trace/Replay.h"
 #include "workloads/ServerSoak.h"
 
@@ -238,6 +240,29 @@ TEST(MonitorSoak, DroppedEventsSurfaceInDiagnostics) {
   World.shutdown();
 }
 
+// A retired request thread's partial chunk is queued trimmed to its used
+// bytes, so churning through request threads pins what they recorded, not
+// a full chunk per retirement.
+TEST(MonitorSoak, RetiredPartialChunksAreTrimmed) {
+  ScenarioWorld World(sampledConfig(1)); // record every request thread
+  SoakOptions Opts = smallSoak();
+  Opts.Requests = 64;
+  Opts.OpsPerRequest = 2;
+  runServerSoak(World, Opts);
+
+  trace::TraceRecorder &Recorder = *World.Jinn->recorder();
+  const size_t Queued = Recorder.queuedChunkBytes();
+  trace::Trace Drained = Recorder.drainSealed();
+  EXPECT_EQ(Recorder.droppedEvents(), 0u);
+  ASSERT_GT(Drained.Events.size(), Opts.Requests);
+  // No record is larger than a TraceEvent. Untrimmed, each retirement
+  // would hold a whole RingCapacity-event chunk.
+  EXPECT_LE(Queued, Drained.Events.size() * sizeof(trace::TraceEvent));
+  EXPECT_LT(Queued, Opts.Requests * trace::TraceRecorderOptions().RingCapacity *
+                        sizeof(trace::TraceEvent) / 4);
+  World.shutdown();
+}
+
 // The soak must hold RSS under the production ceiling: bounded recorder
 // queue, bounded sink, retired buffers. (Absolute RSS is only meaningful
 // on non-sanitized builds.)
@@ -288,6 +313,60 @@ TEST(MonitorSoak, RingSinkEvictsOldest) {
     EXPECT_EQ(Merged.Events[E].Epoch, E);
   }
   EXPECT_EQ(Merged.Events.front().TimeNs, 300u); // segments 0-2 evicted
+}
+
+// Equal timestamps across threads order by thread id, then per-thread
+// sequence, in both merge paths: the recorder's (encoded chunks, merged as
+// collect() and drainSealed() merge them) and mergeSegments().
+TEST(MonitorSoak, EqualTimesMergeByThreadThenSequence) {
+  struct Stamp {
+    uint64_t TimeNs;
+    uint32_t ThreadId;
+    uint64_t Seq;
+  };
+  // Input order; the merged order is Expected.
+  const Stamp Input[] = {{500, 3, 1}, {500, 2, 5}, {500, 3, 0},
+                         {500, 1, 9}, {499, 9, 0}, {500, 2, 4},
+                         {500, 1, 8}};
+  const Stamp Expected[] = {{499, 9, 0}, {500, 1, 8}, {500, 1, 9},
+                            {500, 2, 4}, {500, 2, 5}, {500, 3, 0},
+                            {500, 3, 1}};
+  auto event = [](const Stamp &S) {
+    trace::TraceEvent Ev{};
+    Ev.Kind = trace::EventKind::GcEpoch;
+    Ev.TimeNs = S.TimeNs;
+    Ev.ThreadId = S.ThreadId;
+    Ev.Seq = S.Seq;
+    return Ev;
+  };
+  auto expectMerged = [&](const trace::Trace &T, const char *Path) {
+    ASSERT_EQ(T.Events.size(), std::size(Expected)) << Path;
+    for (size_t I = 0; I < T.Events.size(); ++I) {
+      EXPECT_EQ(T.Events[I].Epoch, I) << Path;
+      EXPECT_EQ(T.Events[I].TimeNs, Expected[I].TimeNs) << Path << " #" << I;
+      EXPECT_EQ(T.Events[I].ThreadId, Expected[I].ThreadId)
+          << Path << " #" << I;
+      EXPECT_EQ(T.Events[I].Seq, Expected[I].Seq) << Path << " #" << I;
+    }
+  };
+
+  std::vector<trace::EventChunk> Chunks(2);
+  std::vector<trace::Trace> Segments(2);
+  for (size_t I = 0; I < std::size(Input); ++I) {
+    trace::EventChunk &Chunk = Chunks[I % 2];
+    if (Chunk.capacity() == 0)
+      Chunk.reset(trace::TraceRecorderOptions().RingCapacity *
+                  sizeof(trace::TraceEvent));
+    Chunk.append(event(Input[I]));
+    Segments[I % 2].Events.push_back(event(Input[I]));
+  }
+  std::vector<trace::MergeKey> Keys;
+  for (const trace::EventChunk &Chunk : Chunks)
+    Chunk.appendMergeKeys(Keys, /*NsPerTick=*/1.0);
+  trace::Trace Recorded;
+  trace::EventChunk::decodeInMergeOrder(Keys, Recorded, /*NsPerTick=*/1.0);
+  expectMerged(Recorded, "recorder chunks");
+  expectMerged(monitor::mergeSegments(std::move(Segments)), "mergeSegments");
 }
 
 // RotatingFileSink writes segment files, prunes past MaxSegments, and

@@ -12,7 +12,8 @@
 /// workload driver. Also covers record-only traces (replay is the only
 /// checker), zero slack in every trace that leaves the recorder, the file
 /// format's rejection of corrupt input, and the Chrome-trace and counters
-/// exporters. Meant to run clean under -fsanitize=thread (configure with
+/// exporters, and the recorder's chunk codec at every event kind's count
+/// extremes. Meant to run clean under -fsanitize=thread (configure with
 /// -DJINN_TSAN=ON).
 ///
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include "scenarios/Scenarios.h"
 #include "support/Format.h"
 #include "trace/Export.h"
+#include "trace/Recorder.h"
 #include "trace/Replay.h"
 #include "trace/TraceFile.h"
 #include "workloads/ServerSoak.h"
@@ -339,6 +341,209 @@ TEST(TraceFileFormat, CollectedAndDrainedSlackIsZero) {
     EXPECT_LE(World.Jinn->recorder()->liveThreadBuffers(), 1u);
     World.shutdown();
     expectZeroSlack(World.Jinn->recorder()->collect(), "retired threads");
+  }
+}
+
+namespace {
+
+/// An event as a record call leaves the recorder's scratch event: stale
+/// bytes everywhere, the two scalar prefixes cleared, then \p Fill's
+/// captures.
+template <typename FillT>
+trace::TraceEvent capturedEvent(trace::EventKind Kind, uint64_t Time,
+                                FillT Fill) {
+  trace::TraceEvent Ev;
+  std::memset(static_cast<void *>(&Ev), 0xA5, sizeof(Ev));
+  std::memset(static_cast<void *>(&Ev), 0, offsetof(trace::TraceEvent, Args));
+  std::memset(static_cast<void *>(&Ev.Snap), 0,
+              offsetof(jvmti::BoundarySnapshot, Peeks));
+  Ev.Kind = Kind;
+  Ev.Fn = 0xFFFF;
+  Ev.TimeNs = Time;
+  Ev.Seq = Time;
+  Ev.ThreadId = 7;
+  Fill(Ev);
+  return Ev;
+}
+
+void fillArgs(trace::TraceEvent &Ev, size_t N) {
+  Ev.NumArgs = static_cast<uint8_t>(N);
+  for (size_t I = 0; I < N; ++I)
+    Ev.Args[I] = {static_cast<uint8_t>(I + 1), 0x1000 + I, 0x2000 + I};
+}
+
+void fillNativeArgs(trace::TraceEvent &Ev) {
+  Ev.MethodWord = 0xBEEF;
+  Ev.SelfWord = 0xCAFE;
+  Ev.NativeArgsTruncated = true;
+  Ev.NumNativeArgs = trace::TraceEvent::MaxNativeArgs;
+  for (size_t I = 0; I < trace::TraceEvent::MaxNativeArgs; ++I)
+    Ev.NativeArgs[I].j = static_cast<jlong>(0x3000 + I);
+}
+
+void fillSnapshot(trace::TraceEvent &Ev) {
+  jvmti::BoundarySnapshot &Snap = Ev.Snap;
+  Snap.ThreadId = 7;
+  Snap.CurThreadId = 8;
+  Snap.EnvWord = 0x4000;
+  Snap.ExceptionPending = Snap.MethodIdValid = Snap.BufferFound = true;
+  Snap.BufferTarget = 0x5000;
+  for (uint64_t W = 1; W <= jvmti::BoundarySnapshot::MaxPeeks + 1; ++W)
+    Snap.addPeek(0x6000 + W, 0x7000 + W, 2, 1, static_cast<uint32_t>(W));
+  Snap.HasCallArgs = true;
+  Snap.NumCallArgs = jvmti::BoundarySnapshot::MaxCallArgs;
+  for (size_t I = 0; I < jvmti::BoundarySnapshot::MaxCallArgs; ++I)
+    Snap.CallArgs[I].j = static_cast<jlong>(0x8000 + I);
+}
+
+/// Every event kind, each count at its extremes.
+std::vector<trace::TraceEvent> extremeEvents() {
+  using trace::EventKind;
+  using trace::TraceEvent;
+  std::vector<TraceEvent> Events;
+  uint64_t Time = 100;
+  auto Add = [&](EventKind Kind, auto Fill) {
+    Events.push_back(capturedEvent(Kind, Time++, Fill));
+  };
+  Add(EventKind::JniPre, [](TraceEvent &Ev) { Ev.Fn = 3; });
+  Add(EventKind::JniPre, [](TraceEvent &Ev) {
+    Ev.Fn = 4;
+    fillArgs(Ev, TraceEvent::MaxArgs);
+    fillSnapshot(Ev);
+  });
+  Add(EventKind::JniPost, [](TraceEvent &Ev) { Ev.Fn = 3; });
+  Add(EventKind::JniPost, [](TraceEvent &Ev) {
+    Ev.Fn = 4;
+    fillArgs(Ev, TraceEvent::MaxArgs);
+    Ev.HasReturn = Ev.RetIsRef = true;
+    Ev.RetWord = 0x9000;
+    Ev.RetPtrWord = 0x9001;
+    fillSnapshot(Ev);
+  });
+  Add(EventKind::NativeEntry, [](TraceEvent &Ev) {
+    fillNativeArgs(Ev);
+    fillSnapshot(Ev);
+  });
+  Add(EventKind::NativeExit, [](TraceEvent &Ev) {
+    fillNativeArgs(Ev);
+    Ev.HasReturn = true;
+    Ev.NativeRet.j = 0xA000;
+    fillSnapshot(Ev);
+  });
+  Add(EventKind::NativeExit, [](TraceEvent &Ev) { Ev.Aborted = true; });
+  Add(EventKind::NativeBind, [](TraceEvent &Ev) { Ev.MethodWord = 0xBEEF; });
+  Add(EventKind::ThreadAttach, [](TraceEvent &Ev) {
+    std::memset(Ev.Name, 'n', TraceEvent::MaxNameLen);
+    Ev.Name[TraceEvent::MaxNameLen] = 0;
+    Ev.Snap.ThreadId = 7;
+    Ev.Snap.EnvWord = 0x4000;
+  });
+  Add(EventKind::ThreadDetach, [](TraceEvent &Ev) { Ev.Snap.ThreadId = 7; });
+  Add(EventKind::GcEpoch, [](TraceEvent &) {});
+  Add(EventKind::VmDeath, [](TraceEvent &) {});
+  return Events;
+}
+
+/// \p Got, decoded at epoch \p Epoch, equals captured event \p Want in
+/// every member its counts make valid.
+void expectSameEvent(const trace::TraceEvent &Want,
+                     const trace::TraceEvent &Got, uint64_t Epoch) {
+  EXPECT_EQ(Got.Epoch, Epoch);
+  EXPECT_EQ(Got.Seq, Want.Seq);
+  EXPECT_EQ(Got.TimeNs, Want.TimeNs);
+  EXPECT_EQ(Got.ThreadId, Want.ThreadId);
+  EXPECT_EQ(Got.Kind, Want.Kind);
+  EXPECT_EQ(Got.Fn, Want.Fn);
+  EXPECT_EQ(Got.HasReturn, Want.HasReturn);
+  EXPECT_EQ(Got.RetIsRef, Want.RetIsRef);
+  EXPECT_EQ(Got.Aborted, Want.Aborted);
+  EXPECT_EQ(Got.NativeArgsTruncated, Want.NativeArgsTruncated);
+  EXPECT_EQ(Got.RetWord, Want.RetWord);
+  EXPECT_EQ(Got.RetPtrWord, Want.RetPtrWord);
+  EXPECT_EQ(Got.MethodWord, Want.MethodWord);
+  EXPECT_EQ(Got.SelfWord, Want.SelfWord);
+  ASSERT_EQ(Got.NumArgs, Want.NumArgs);
+  for (size_t I = 0; I < Want.NumArgs; ++I) {
+    EXPECT_EQ(Got.Args[I].Cls, Want.Args[I].Cls) << "arg " << I;
+    EXPECT_EQ(Got.Args[I].Word, Want.Args[I].Word) << "arg " << I;
+    EXPECT_EQ(Got.Args[I].PtrWord, Want.Args[I].PtrWord) << "arg " << I;
+  }
+  ASSERT_EQ(Got.NumNativeArgs, Want.NumNativeArgs);
+  for (size_t I = 0; I < Want.NumNativeArgs; ++I)
+    EXPECT_EQ(Got.NativeArgs[I].j, Want.NativeArgs[I].j) << "native " << I;
+  if (Want.Kind == trace::EventKind::NativeExit && Want.HasReturn) {
+    EXPECT_EQ(Got.NativeRet.j, Want.NativeRet.j);
+  }
+  if (Want.Kind == trace::EventKind::ThreadAttach) {
+    EXPECT_STREQ(Got.Name, Want.Name);
+  }
+
+  const jvmti::BoundarySnapshot &G = Got.Snap, &W = Want.Snap;
+  EXPECT_EQ(G.ThreadId, W.ThreadId);
+  EXPECT_EQ(G.CurThreadId, W.CurThreadId);
+  EXPECT_EQ(G.EnvWord, W.EnvWord);
+  EXPECT_EQ(G.PeeksTruncated, W.PeeksTruncated);
+  EXPECT_EQ(G.ExceptionPending, W.ExceptionPending);
+  EXPECT_EQ(G.MethodIdValid, W.MethodIdValid);
+  EXPECT_EQ(G.FieldIdValid, W.FieldIdValid);
+  EXPECT_EQ(G.RetFieldIdValid, W.RetFieldIdValid);
+  EXPECT_EQ(G.BufferFound, W.BufferFound);
+  EXPECT_EQ(G.HasCallArgs, W.HasCallArgs);
+  EXPECT_EQ(G.BufferTarget, W.BufferTarget);
+  ASSERT_EQ(G.NumPeeks, W.NumPeeks);
+  for (size_t I = 0; I < W.NumPeeks; ++I) {
+    EXPECT_EQ(G.Peeks[I].Word, W.Peeks[I].Word) << "peek " << I;
+    EXPECT_EQ(G.Peeks[I].Target, W.Peeks[I].Target) << "peek " << I;
+    EXPECT_EQ(G.Peeks[I].Status, W.Peeks[I].Status) << "peek " << I;
+    EXPECT_EQ(G.Peeks[I].Kind, W.Peeks[I].Kind) << "peek " << I;
+    EXPECT_EQ(G.Peeks[I].OwnerThread, W.Peeks[I].OwnerThread) << "peek " << I;
+  }
+  ASSERT_EQ(G.NumCallArgs, W.NumCallArgs);
+  for (size_t I = 0; I < W.NumCallArgs; ++I)
+    EXPECT_EQ(G.CallArgs[I].j, W.CallArgs[I].j) << "call arg " << I;
+}
+
+} // namespace
+
+// The recorder's chunk codec: every event kind at its count extremes is
+// encoded into chunks sized as the recorder sizes them — at RingCapacity
+// 1, where every event seals its chunk, and at the default — and decodes
+// to the captured event member by member, with zero slack.
+TEST(TraceRecorderChunks, EveryKindRoundTripsAtItsCountExtremes) {
+  const std::vector<trace::TraceEvent> Events = extremeEvents();
+  ASSERT_TRUE(Events[1].Snap.PeeksTruncated);
+  ASSERT_EQ(Events[1].Snap.NumPeeks, jvmti::BoundarySnapshot::MaxPeeks);
+  ASSERT_EQ(std::strlen(Events[8].Name), trace::TraceEvent::MaxNameLen);
+  for (size_t RingCapacity :
+       {size_t(1), trace::TraceRecorderOptions().RingCapacity}) {
+    SCOPED_TRACE(RingCapacity);
+    const size_t Bytes = RingCapacity * sizeof(trace::TraceEvent);
+    std::vector<trace::EventChunk> Chunks(1);
+    Chunks.back().reset(Bytes);
+    for (const trace::TraceEvent &Ev : Events) {
+      if (Chunks.back().full()) {
+        Chunks.emplace_back();
+        Chunks.back().reset(Bytes);
+      }
+      Chunks.back().append(Ev);
+      // At RingCapacity 1 every event seals its chunk.
+      EXPECT_EQ(Chunks.back().full(), RingCapacity == 1);
+    }
+    EXPECT_EQ(Chunks.size(), RingCapacity == 1 ? Events.size() : 1u);
+
+    std::vector<trace::MergeKey> Keys;
+    for (const trace::EventChunk &Chunk : Chunks)
+      Chunk.appendMergeKeys(Keys, /*NsPerTick=*/1.0);
+    trace::Trace Out;
+    trace::EventChunk::decodeInMergeOrder(Keys, Out, /*NsPerTick=*/1.0);
+    ASSERT_EQ(Out.Events.size(), Events.size());
+    for (size_t I = 0; I < Events.size(); ++I) {
+      SCOPED_TRACE(trace::eventKindName(Events[I].Kind));
+      expectSameEvent(Events[I], Out.Events[I], I);
+      EXPECT_EQ(nonzeroSlack(Out.Events[I]), "");
+    }
+    EXPECT_EQ(Out.threadName(7),
+              std::string(trace::TraceEvent::MaxNameLen, 'n'));
   }
 }
 
